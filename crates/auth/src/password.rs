@@ -2,9 +2,9 @@
 //! (paper §5.4: "Accesses to web user interfaces are authenticated by a
 //! login system using a username and a password").
 
+use crate::entropy::os_random;
 use crate::{constant_time_eq, hmac_sha256, sha256, to_hex};
 use parking_lot::RwLock;
-use rand::RngCore;
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
@@ -47,8 +47,7 @@ impl PasswordStore {
         if users.contains_key(username) {
             return false;
         }
-        let mut salt = [0u8; 16];
-        rand::thread_rng().fill_bytes(&mut salt);
+        let salt: [u8; 16] = os_random();
         let verifier = derive(&salt, password);
         users.insert(username.to_string(), (salt, verifier));
         true
@@ -70,8 +69,7 @@ impl PasswordStore {
         }
         let mut users = self.users.write();
         let entry = users.get_mut(username).expect("verified above");
-        let mut salt = [0u8; 16];
-        rand::thread_rng().fill_bytes(&mut salt);
+        let salt: [u8; 16] = os_random();
         *entry = (salt, derive(&salt, new));
         true
     }
@@ -122,8 +120,7 @@ impl SessionManager {
 
     /// A manager with a custom TTL (tests use short TTLs).
     pub fn with_ttl(ttl: Duration) -> Self {
-        let mut secret = [0u8; 32];
-        rand::thread_rng().fill_bytes(&mut secret);
+        let secret: [u8; 32] = os_random();
         SessionManager {
             secret,
             sessions: RwLock::new(HashMap::new()),
@@ -133,8 +130,7 @@ impl SessionManager {
 
     /// Starts a session for `username`, returning the bearer token.
     pub fn login(&self, username: &str) -> String {
-        let mut nonce = [0u8; 16];
-        rand::thread_rng().fill_bytes(&mut nonce);
+        let nonce: [u8; 16] = os_random();
         let mut material = Vec::with_capacity(username.len() + nonce.len());
         material.extend_from_slice(username.as_bytes());
         material.extend_from_slice(&nonce);

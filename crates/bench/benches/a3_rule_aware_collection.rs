@@ -64,7 +64,7 @@ fn bench_rule_download(c: &mut Criterion) {
         b.iter(|| black_box(device.download_rules().unwrap().len()))
     });
     // Keep transport alive explicitly (the rig's store lives in it).
-    let _ = transport.round_trip(&Request::get("/health"));
+    let _ = transport.round_trip(&Request::get("/healthz"));
     let _ = key;
 }
 

@@ -1,19 +1,17 @@
-//! C1 — fine-grained concurrency: per-contributor sharded locking vs the
-//! pre-sharding single global lock, under N threads of mixed
-//! upload/query traffic over the in-process transport.
+//! C1 — fine-grained concurrency: per-contributor sharded locking under
+//! N threads of mixed upload/query traffic over the in-process
+//! transport.
 //!
-//! Each measured iteration builds a fresh 8-contributor store in the
-//! given [`LockMode`], then drives `threads` workers through alternating
-//! uploads (each worker writes its own contributor) and consumer queries
-//! (round-robin across contributors). Throughput is reported in
-//! requests/second; both modes are measured in the same run so the
-//! sharded/global ratio is directly comparable. See EXPERIMENTS.md C1
-//! for recorded sweeps (including the contributor-count axis, produced
-//! by the `report` binary).
+//! Each measured iteration builds a fresh 8-contributor store, then
+//! drives `threads` workers through alternating uploads (each worker
+//! writes its own contributor) and consumer queries (round-robin across
+//! contributors). Throughput is reported in requests/second. See
+//! EXPERIMENTS.md C1 for recorded sweeps (including the retired
+//! global-lock baseline and the contributor-count axis, produced by the
+//! `report` binary).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sensorsafe_bench::{mixed_workload, run_mixed_traffic};
-use sensorsafe_core::datastore::LockMode;
 use std::hint::black_box;
 use std::time::Duration;
 
@@ -26,17 +24,16 @@ fn bench_mixed_traffic(c: &mut Criterion) {
     group.measurement_time(Duration::from_millis(400));
     for threads in [1usize, 2, 4, 8] {
         group.throughput(Throughput::Elements((threads * OPS_PER_THREAD) as u64));
-        for (label, mode) in [
-            ("global", LockMode::GlobalLock),
-            ("sharded", LockMode::Sharded),
-        ] {
-            group.bench_with_input(BenchmarkId::new(label, threads), &threads, |b, &threads| {
+        group.bench_with_input(
+            BenchmarkId::new("sharded", threads),
+            &threads,
+            |b, &threads| {
                 b.iter(|| {
-                    let workload = mixed_workload(mode, CONTRIBUTORS);
+                    let workload = mixed_workload(CONTRIBUTORS);
                     black_box(run_mixed_traffic(&workload, threads, OPS_PER_THREAD))
                 })
-            });
-        }
+            },
+        );
     }
     group.finish();
 }

@@ -1,9 +1,9 @@
-//! C2 — durable upload throughput under WAL group commit: batched
+//! C2 — durable upload throughput under journal group commit: batched
 //! commits vs the per-record (`unbatched`) baseline, sweeping batch
 //! settings and upload concurrency.
 //!
 //! Each measured iteration builds a fresh durable 2-contributor store
-//! (WALs in a temp dir) under the given [`GroupCommitConfig`], then
+//! (journal in a temp dir) under the given [`GroupCommitConfig`], then
 //! drives `threads` workers through single-packet durable uploads;
 //! every ack means a completed `write`+`fsync` covering that record.
 //! With threads > contributors, concurrent uploads to the same account

@@ -4,7 +4,7 @@
 //! Measures the per-request cost of that layer (API-key hash + lookup),
 //! its scaling with registered-key count, and the end-to-end overhead
 //! on a small query (authenticated vs the same work with auth skipped —
-//! approximated by the unauthenticated /health endpoint).
+//! approximated by the unauthenticated /healthz endpoint).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sensorsafe_core::auth::{ApiKey, KeyRing, Principal, Role};
@@ -52,8 +52,8 @@ fn bench_request_with_and_without_auth(c: &mut Criterion) {
         .to_string();
     let mut group = c.benchmark_group("f2_request_path");
     // Unauthenticated endpoint (no auth-layer work).
-    let health = Request::get("/health");
-    group.bench_function("health_no_auth", |b| {
+    let health = Request::get("/healthz");
+    group.bench_function("healthz_no_auth", |b| {
         b.iter(|| black_box(svc.handle(black_box(&health)).status))
     });
     // Authenticated endpoint doing trivial work (empty rules read).

@@ -4,14 +4,16 @@
 //! and EXPERIMENTS.md); this crate holds the workload constructors they
 //! share so benches and the `report` binary measure identical inputs.
 
-use sensorsafe_core::datastore::{DataStoreConfig, DataStoreService, LockMode};
+use sensorsafe_core::datastore::{DataStoreConfig, DataStoreService};
 use sensorsafe_core::net::{Request, Service, Status};
 use sensorsafe_core::policy::{
     AbstractionSpec, Action, BinaryAbs, Conditions, ConsumerSelector, LocationCondition,
     PrivacyRule, TimeCondition,
 };
 use sensorsafe_core::sim::Scenario;
-use sensorsafe_core::store::{GroupCommitConfig, MergePolicy, SegmentStore, TupleStore};
+use sensorsafe_core::store::{
+    GroupCommitConfig, JournalConfig, MergePolicy, SegmentStore, TupleStore,
+};
 use sensorsafe_core::types::{
     ChannelSpec, ContextKind, GeoPoint, Region, RepeatTime, SegmentMeta, Timestamp, Timing,
     WaveSegment,
@@ -176,9 +178,9 @@ pub fn alice_scenario(seed: u64) -> Scenario {
     Scenario::alice_day(Timestamp::from_millis(DAY_START), seed, 1)
 }
 
-/// A data store preloaded for the C1 concurrency workload: one server in
-/// the requested [`LockMode`], `n` registered contributors (each with
-/// data and a non-trivial rule set) and one consumer.
+/// A data store preloaded for the C1 concurrency workload: one in-memory
+/// server, `n` registered contributors (each with data and a non-trivial
+/// rule set) and one consumer.
 pub struct MixedWorkload {
     /// The in-process store all traffic targets.
     pub store: DataStoreService,
@@ -188,15 +190,12 @@ pub struct MixedWorkload {
     pub consumer_key: String,
 }
 
-/// Builds the C1 workload: register `n_contributors` on a fresh store in
-/// `lock_mode`, give each a rule set that exercises real enforcement
-/// (allow-all plus a context-scoped deny) and `preload_packets` chest
-/// packets, and register one consumer.
-pub fn mixed_workload(lock_mode: LockMode, n_contributors: usize) -> MixedWorkload {
-    let (store, admin) = DataStoreService::new(DataStoreConfig {
-        lock_mode,
-        ..Default::default()
-    });
+/// Builds the C1 workload: register `n_contributors` on a fresh store,
+/// give each a rule set that exercises real enforcement (allow-all plus
+/// a context-scoped deny) and eight preloaded chest packets, and
+/// register one consumer.
+pub fn mixed_workload(n_contributors: usize) -> MixedWorkload {
+    let (store, admin) = DataStoreService::new(DataStoreConfig::default());
     let admin = admin.to_hex();
     let preload: Vec<Value> = chest_packets(8).iter().map(WaveSegment::to_json).collect();
     let mut contributors = Vec::with_capacity(n_contributors);
@@ -343,8 +342,8 @@ pub fn run_mixed_traffic(
     started.elapsed()
 }
 
-/// A data store in durable mode for the C2 group-commit workload: WAL
-/// files live in a fresh temp directory (removed on drop), contributor
+/// A data store in durable mode for the C2 group-commit workload: the
+/// journal lives in a fresh temp directory (removed on drop), contributor
 /// accounts are registered, and every upload is acked only after a
 /// durable commit.
 pub struct DurableWorkload {
@@ -367,9 +366,8 @@ impl Drop for DurableWorkload {
 
 impl DurableWorkload {
     /// Shuts the running service down and reopens a fresh one over the
-    /// same on-disk state, returning how long the reopen took. Under
-    /// [`StorageEngine::Journal`](sensorsafe_core::datastore::StorageEngine)
-    /// that covers the full journal replay
+    /// same on-disk state, returning how long the reopen took. That
+    /// covers the full journal replay
     /// (checkpoint load + tail-segment scan), so this is the C4
     /// recovery-time probe: with rotation + checkpoints, the duration
     /// must stay flat as upload history grows.
@@ -387,13 +385,16 @@ impl DurableWorkload {
     }
 }
 
-/// Builds the C2 workload: a durable store under the given group-commit
-/// configuration and the default storage engine, with `n_contributors`
+/// Builds the C2 workload: a durable store whose journal commits with
+/// the given group-commit configuration, with `n_contributors`
 /// registered accounts.
-pub fn durable_workload(wal: GroupCommitConfig, n_contributors: usize) -> DurableWorkload {
+pub fn durable_workload(commit: GroupCommitConfig, n_contributors: usize) -> DurableWorkload {
     durable_workload_with(
         DataStoreConfig {
-            wal,
+            journal: JournalConfig {
+                commit,
+                ..Default::default()
+            },
             ..Default::default()
         },
         n_contributors,
@@ -401,7 +402,7 @@ pub fn durable_workload(wal: GroupCommitConfig, n_contributors: usize) -> Durabl
 }
 
 /// Builds a durable workload from an explicit [`DataStoreConfig`]
-/// (engine, group-commit, and journal rotation settings) — the C4
+/// (group-commit and journal rotation settings) — the C4
 /// builder. The config's `data_dir` is overwritten with a fresh temp
 /// directory that the workload removes on drop.
 pub fn durable_workload_with(
@@ -449,8 +450,8 @@ pub fn durable_workload_with(
 /// Each contributor's rounds form one contiguous packet stream (they
 /// merge, like a real 1 Hz feed). Unlike [`run_durable_uploads`] — many
 /// threads hammering few accounts — no account ever sees two concurrent
-/// uploads here, so per-account group commit has nothing to coalesce and
-/// only a store-wide commit path can batch the fsyncs. `start_round`
+/// uploads here, so only the store-wide journal's cross-account batching
+/// can coalesce the fsyncs. `start_round`
 /// continues a stream a previous call left off at. Bodies are
 /// pre-rendered; the duration covers only the traffic.
 pub fn run_many_account_uploads(
@@ -508,7 +509,7 @@ pub fn run_many_account_uploads(
 /// Drives `threads` workers, each issuing `ops_per_thread` durable
 /// single-packet uploads (thread `t` targets contributor `t % n`, so
 /// with more threads than contributors concurrent uploads contend for
-/// the same account and its WAL — the group-commit case). Bodies are
+/// the same account — the group-commit case). Bodies are
 /// pre-rendered; the duration covers only the traffic. Every upload
 /// must ack 200/OK, i.e. durably committed.
 pub fn run_durable_uploads(
@@ -627,7 +628,6 @@ pub fn soak_round(conns: &mut [SoakConn]) -> std::io::Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sensorsafe_core::datastore::StorageEngine;
 
     #[test]
     fn chest_packets_are_mergeable() {
@@ -650,7 +650,7 @@ mod tests {
     #[test]
     fn durable_uploads_coalesce_fsyncs() {
         // The C2 acceptance shape in miniature: 4 threads hammering one
-        // contributor's WAL must ack every upload with fewer fsyncs than
+        // contributor must ack every upload with fewer fsyncs than
         // uploads (group commit), and the data must be on disk.
         let fsyncs = sensorsafe_core::obsv::global().counter(
             "sensorsafe_store_wal_fsyncs_total",
@@ -668,10 +668,10 @@ mod tests {
     #[test]
     fn c4_group_commit_coalesces_across_accounts() {
         // The C4 acceptance shape at reduced scale: many accounts, each
-        // uploading at most once at a time. Per-account WALs get no
-        // coalescing from this shape (one fsync per upload), while the
-        // store-wide journal batches strangers' uploads into shared
-        // fsyncs. A restart replays the journal and must come back up.
+        // uploading at most once at a time. No account can coalesce with
+        // itself here, so the store-wide journal must batch strangers'
+        // uploads into shared fsyncs. A restart replays the journal and
+        // must come back up.
         let fsyncs = sensorsafe_core::obsv::global().counter(
             "sensorsafe_store_wal_fsyncs_total",
             "fsync calls issued by write-ahead logs.",
@@ -681,29 +681,7 @@ mod tests {
         let (threads, rounds) = (8, 2);
         let total = (contributors * rounds) as u64;
 
-        let wal_workload = durable_workload_with(
-            DataStoreConfig {
-                engine: StorageEngine::PerAccountWal,
-                ..Default::default()
-            },
-            contributors,
-        );
-        let before = fsyncs.get();
-        run_many_account_uploads(&wal_workload, threads, 0, rounds);
-        let per_account_spent = fsyncs.get() - before;
-        assert!(
-            per_account_spent >= total,
-            "per-account WALs cannot coalesce across accounts: \
-             {per_account_spent} fsyncs for {total} uploads"
-        );
-
-        let mut journal_workload = durable_workload_with(
-            DataStoreConfig {
-                engine: StorageEngine::Journal,
-                ..Default::default()
-            },
-            contributors,
-        );
+        let mut journal_workload = durable_workload_with(DataStoreConfig::default(), contributors);
         let before = fsyncs.get();
         run_many_account_uploads(&journal_workload, threads, 0, rounds);
         let journal_spent = fsyncs.get() - before;
@@ -734,12 +712,10 @@ mod tests {
     }
 
     #[test]
-    fn mixed_traffic_runs_in_both_lock_modes() {
-        for mode in [LockMode::Sharded, LockMode::GlobalLock] {
-            let workload = mixed_workload(mode, 3);
-            assert_eq!(workload.contributors.len(), 3);
-            let elapsed = run_mixed_traffic(&workload, 2, 6);
-            assert!(elapsed > Duration::ZERO);
-        }
+    fn mixed_traffic_runs() {
+        let workload = mixed_workload(3);
+        assert_eq!(workload.contributors.len(), 3);
+        let elapsed = run_mixed_traffic(&workload, 2, 6);
+        assert!(elapsed > Duration::ZERO);
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! | Endpoint | Who | Purpose |
 //! |---|---|---|
-//! | `GET /health` | anyone | liveness + registry stats |
+//! | `GET /healthz` | anyone | liveness, rule-sync epoch + registry stats |
 //! | `POST /api/register` | admin key | create consumer accounts (returns the consumer's broker key) |
 //! | `POST /api/stores/register` | admin key | pair a data store: record its address + registration key, mint its sync key |
 //! | `POST /api/contributors/register` | store key | record a contributor hosted at a store; mints the contributor's resolve key |
@@ -97,16 +97,6 @@ impl Inner {
     pub(crate) fn authenticate(&self, body: &Value) -> Option<Principal> {
         let key = body.get("key").and_then(Value::as_str)?;
         self.keys.authenticate(key)
-    }
-
-    fn handle_health(&self) -> Response {
-        Response::json(&json!({
-            "ok": true,
-            "server": (self.config.name.clone()),
-            "stores": (self.registry.store_count()),
-            "contributors": (self.registry.contributor_count()),
-            "consumers": (self.registry.consumer_count()),
-        }))
     }
 
     fn handle_register(&self, body: &Value) -> Response {
@@ -342,6 +332,10 @@ impl Inner {
             "version": (env!("CARGO_PKG_VERSION")),
             "uptime_secs": (self.started.elapsed().as_secs()),
             "rule_sync_epoch": rule_sync_epoch,
+            "server": (self.config.name.clone()),
+            "stores": (self.registry.store_count()),
+            "contributors": (self.registry.contributor_count()),
+            "consumers": (self.registry.consumer_count()),
         }))
     }
 
@@ -634,10 +628,6 @@ impl BrokerService {
             role: Role::Server,
         });
         let mut router = Router::new();
-        {
-            let inner = inner.clone();
-            router.get("/health", move |_, _| inner.handle_health());
-        }
         {
             let inner = inner.clone();
             router.get("/healthz", move |_, _| inner.handle_healthz());
@@ -938,7 +928,7 @@ mod tests {
     fn health_reports_registry() {
         let rig = rig();
         register_contributor(&rig, "alice");
-        let resp = rig.broker.handle(&Request::get("/health"));
+        let resp = rig.broker.handle(&Request::get("/healthz"));
         let body = resp.json_body().unwrap();
         assert_eq!(body["stores"].as_i64(), Some(1));
         assert_eq!(body["contributors"].as_i64(), Some(1));

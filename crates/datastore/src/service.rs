@@ -8,7 +8,7 @@
 //!
 //! | Endpoint | Who | Purpose |
 //! |---|---|---|
-//! | `GET /health` | anyone | liveness + stats |
+//! | `GET /healthz` | anyone | liveness, component health + stats |
 //! | `POST /api/register` | admin key | create contributor/consumer accounts (consumer registration is how the broker escrows keys) |
 //! | `POST /api/upload` | contributor | upload wave segments + annotations |
 //! | `POST /api/query` | consumer or owner | query a contributor's data through the privacy pipeline |
@@ -18,39 +18,19 @@
 //! | `GET /ui/*`, `POST /ui/*` | browser | web user interface (see [`crate::web`]) |
 
 use crate::pipeline::{shared_view, shared_view_to_json};
-use crate::state::{ConsumerAccount, ContributorAccount, DataStoreState, LockMode};
+use crate::state::{ConsumerAccount, ContributorAccount, DataStoreState};
 use parking_lot::Mutex;
 use sensorsafe_auth::{ApiKey, KeyRing, PasswordStore, Principal, Role, SessionManager};
 use sensorsafe_json::{json, Value};
 use sensorsafe_net::{Request, Response, Router, Service, Status, Transport};
 use sensorsafe_obsv::{audit, trace, AuditLedger, MemoryLedger, Registry, TraceRecorder};
 use sensorsafe_policy::{DependencyGraph, PrivacyRule};
-use sensorsafe_store::{repl, GroupCommitConfig, MergePolicy, Query, ReplConfig};
+use sensorsafe_store::{repl, MergePolicy, Query, ReplConfig};
 use sensorsafe_types::{
     ConsumerId, ContextAnnotation, ContributorId, GroupId, Region, StudyId, WaveSegment,
 };
 use std::collections::BTreeSet;
 use std::sync::Arc;
-
-/// Which durability engine backs hosted contributor stores when a data
-/// directory is configured (ignored for in-memory deployments).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StorageEngine {
-    /// Storage engine v2 (default): one store-wide
-    /// [`sensorsafe_store::StoreJournal`] shared by every hosted
-    /// account. A single commit thread batches records from many
-    /// contributors into one `write`+`fsync`, segments rotate at a size
-    /// threshold, each rotation checkpoints account state so crash
-    /// replay is bounded to the tail segment, and checkpointed segments
-    /// are garbage-collected once replication acks catch up.
-    #[default]
-    Journal,
-    /// Storage engine v1: one `<dir>/<name>.wal` group-commit log per
-    /// contributor account. Kept for migration and as the bench
-    /// baseline; fsync cost scales with the number of concurrently
-    /// active accounts.
-    PerAccountWal,
-}
 
 /// Construction-time configuration.
 #[derive(Debug, Clone)]
@@ -60,27 +40,19 @@ pub struct DataStoreConfig {
     /// Merge policy for hosted contributors' stores.
     pub merge: MergePolicy,
     /// Directory for durable storage. `None` keeps all data in memory
-    /// (tests, benches); with a directory set, contributor data is
-    /// recovered on registration — from the shared journal
-    /// (`<dir>/journal.seg-N` + `<dir>/journal.ckpt`) under
-    /// [`StorageEngine::Journal`], or from `<dir>/<name>.wal` under
-    /// [`StorageEngine::PerAccountWal`] — so a restarted server
-    /// recovers its data.
+    /// (tests, benches); with a directory set, every hosted account
+    /// shares one store-wide journal (`<dir>/journal.seg-N` +
+    /// `<dir>/journal.ckpt`, see [`sensorsafe_store::StoreJournal`]) and
+    /// contributor data is recovered from it on registration, so a
+    /// restarted server recovers its data. A journal that will not open
+    /// stops the server from starting (see [`DataStoreService::new`]).
     pub data_dir: Option<std::path::PathBuf>,
-    /// Durability engine for contributor data under `data_dir`. See
-    /// [`StorageEngine`] and `docs/OPERATIONS.md` ("Storage engine").
-    pub engine: StorageEngine,
-    /// Journal segment rotation thresholds (journal engine only). See
-    /// [`sensorsafe_store::JournalConfig`].
+    /// Journal settings (ignored when `data_dir` is `None`): segment
+    /// rotation thresholds and the group-commit window
+    /// ([`sensorsafe_store::JournalConfig::commit`]), which bounds how
+    /// long an acked upload can wait and how many uploads share one
+    /// fsync. See `docs/OPERATIONS.md` ("Storage engine") for tuning.
     pub journal: sensorsafe_store::JournalConfig,
-    /// Locking discipline for contributor state. `GlobalLock` reproduces
-    /// the pre-sharding coarse lock (bench baseline only).
-    pub lock_mode: LockMode,
-    /// WAL group-commit batching for durable contributor stores (ignored
-    /// when `data_dir` is `None`). Applies to both engines: the journal
-    /// engine uses it as its commit-thread batching window. See
-    /// [`GroupCommitConfig`] and `docs/OPERATIONS.md` for tuning.
-    pub wal: GroupCommitConfig,
     /// Requests slower than this are pinned in the slow-trace ring and
     /// logged as one structured JSON line (`None` disables capture). See
     /// docs/OPERATIONS.md for tuning guidance.
@@ -93,10 +65,7 @@ impl Default for DataStoreConfig {
             name: "sensorsafe-datastore".to_string(),
             merge: MergePolicy::default(),
             data_dir: None,
-            engine: StorageEngine::default(),
             journal: sensorsafe_store::JournalConfig::default(),
-            lock_mode: LockMode::Sharded,
-            wal: GroupCommitConfig::default(),
             slow_request_threshold: None,
         }
     }
@@ -114,10 +83,8 @@ pub struct BrokerLink {
 
 pub(crate) struct Inner {
     pub(crate) config: DataStoreConfig,
-    /// The shared store-wide journal (storage engine v2). `Some` only
-    /// when `data_dir` is set and the engine is
-    /// [`StorageEngine::Journal`]; a journal that fails to open degrades
-    /// the server to per-account WALs rather than refusing to start.
+    /// The shared store-wide journal: `Some` exactly when `data_dir` is
+    /// set.
     pub(crate) journal: Option<Arc<sensorsafe_store::StoreJournal>>,
     pub(crate) state: DataStoreState,
     pub(crate) keys: KeyRing,
@@ -192,15 +159,7 @@ impl Inner {
         };
         let created = match role {
             Role::Contributor => {
-                let mut account = match self.open_contributor_account(name) {
-                    Ok(account) => account,
-                    Err(e) => {
-                        return Response::error(
-                            Status::InternalError,
-                            &format!("failed to open contributor store: {e}"),
-                        )
-                    }
-                };
+                let mut account = self.open_contributor_account(name);
                 // A replicated primary ships every account from birth.
                 if self.replica.lock().is_some() {
                     account.store.enable_replication(ReplConfig::default());
@@ -258,27 +217,16 @@ impl Inner {
         Response::json_with_status(Status::Created, &json!({ "api_key": (key.to_hex()) }))
     }
 
-    /// Opens (or creates) the hosted account for `name` under the
-    /// configured durability engine: in-memory without a data directory,
-    /// the shared journal under [`StorageEngine::Journal`], otherwise a
-    /// per-account `<dir>/<name>.wal`. Journal-recovered state (if any)
-    /// is claimed exactly once inside
+    /// Opens (or creates) the hosted account for `name`: in memory
+    /// without a data directory, otherwise on the shared journal.
+    /// Journal-recovered state (if any) is claimed exactly once inside
     /// [`ContributorAccount::open_journal`].
-    fn open_contributor_account(
-        &self,
-        name: &str,
-    ) -> Result<ContributorAccount, sensorsafe_store::StoreError> {
+    fn open_contributor_account(&self, name: &str) -> ContributorAccount {
         let id = ContributorId::new(name);
-        match (&self.config.data_dir, &self.journal) {
-            (None, _) => Ok(ContributorAccount::new(id, self.config.merge)),
-            (Some(_), Some(journal)) => Ok(ContributorAccount::open_journal(
-                id,
-                journal.clone(),
-                self.config.merge,
-            )),
-            (Some(dir), None) => {
-                let path = dir.join(format!("{name}.wal"));
-                ContributorAccount::open_with(id, path, self.config.merge, self.config.wal)
+        match &self.journal {
+            None => ContributorAccount::new(id, self.config.merge),
+            Some(journal) => {
+                ContributorAccount::open_journal(id, journal.clone(), self.config.merge)
             }
         }
     }
@@ -286,26 +234,22 @@ impl Inner {
     /// Creates an empty contributor account if `name` has none yet (the
     /// replica side of replication: accounts materialize on first
     /// mirrored registration or shipped batch). Durable when the store
-    /// has a data directory. Returns `false` only on a WAL open failure.
-    fn ensure_contributor_account(&self, name: &str) -> bool {
+    /// has a data directory.
+    fn ensure_contributor_account(&self, name: &str) {
         let id = ContributorId::new(name);
         if self.state.with_contributor(&id, |_| ()).is_some() {
-            return true;
+            return;
         }
-        let account = match self.open_contributor_account(name) {
-            Ok(account) => account,
-            Err(_) => return false,
-        };
         // A concurrent insert losing the race is fine: the account exists.
-        self.state.add_contributor(account);
-        true
+        self.state
+            .add_contributor(self.open_contributor_account(name));
     }
 
     /// `POST /repl/segment` — a primary pushes one sealed replication
     /// batch. Idempotent by `(contributor, seq)`: the replica records the
-    /// highest applied sequence in its own WAL (crash-safe) and skips
+    /// highest applied sequence in the journal (crash-safe) and skips
     /// anything at or below it, so the primary can re-send after a lost
-    /// ack. The batch is applied **atomically** (one WAL frame carries
+    /// ack. The batch is applied **atomically** (one journal record carries
     /// the records and the high-water advance together), so a crash can
     /// never leave a half-applied batch for a re-send to duplicate.
     /// Frames carrying an epoch older than the account's assignment
@@ -329,9 +273,7 @@ impl Inner {
             Ok(f) => f,
             Err(e) => return bad_request(&format!("bad replication frame: {e}")),
         };
-        if !self.ensure_contributor_account(&frame.contributor) {
-            return Response::error(Status::InternalError, "failed to open replica account");
-        }
+        self.ensure_contributor_account(&frame.contributor);
         let id = ContributorId::new(frame.contributor.as_str());
         let seq = frame.seq;
         let (applied, ticket) = {
@@ -393,9 +335,7 @@ impl Inner {
         let Some(contributor) = body.get("contributor").and_then(Value::as_str) else {
             return bad_request("missing 'contributor'");
         };
-        if !self.ensure_contributor_account(contributor) {
-            return Response::error(Status::InternalError, "failed to open replica account");
-        }
+        self.ensure_contributor_account(contributor);
         let id = ContributorId::new(contributor);
         let Some(account) = self.state.read_contributor(&id) else {
             return Response::error(Status::InternalError, "replica account vanished");
@@ -410,7 +350,7 @@ impl Inner {
     /// `POST /repl/reset` — wipes this replica's copy of one
     /// contributor's data ahead of a full re-snapshot (the primary calls
     /// this when the status handshake shows the streams diverged). The
-    /// wipe is durable (the WAL is rewritten) and epoch-guarded: a
+    /// wipe is durable (a reset marker is journaled) and epoch-guarded: a
     /// deposed primary carrying a stale epoch cannot wipe a promoted
     /// replica, and the assignment epoch/fence survive the reset.
     fn handle_repl_reset(&self, body: &Value) -> Response {
@@ -426,9 +366,7 @@ impl Inner {
         let Some(epoch) = body.get("epoch").and_then(Value::as_u64) else {
             return bad_request("missing 'epoch'");
         };
-        if !self.ensure_contributor_account(contributor) {
-            return Response::error(Status::InternalError, "failed to open replica account");
-        }
+        self.ensure_contributor_account(contributor);
         let id = ContributorId::new(contributor);
         let outcome = self.state.with_contributor_mut(&id, |account| {
             let current = account.store.assignment_epoch();
@@ -479,12 +417,7 @@ impl Inner {
         };
         match role {
             Role::Contributor => {
-                if !self.ensure_contributor_account(name) {
-                    return Response::error(
-                        Status::InternalError,
-                        "failed to open replica account",
-                    );
-                }
+                self.ensure_contributor_account(name);
             }
             Role::Consumer => {
                 let groups = body
@@ -542,9 +475,7 @@ impl Inner {
             Ok(r) => r,
             Err(e) => return bad_request(&e.to_string()),
         };
-        if !self.ensure_contributor_account(contributor) {
-            return Response::error(Status::InternalError, "failed to open replica account");
-        }
+        self.ensure_contributor_account(contributor);
         let id = ContributorId::new(contributor);
         let current = self
             .state
@@ -568,7 +499,7 @@ impl Inner {
     /// account's assignment epoch forward and set the fenced flag. An
     /// epoch older than the current one is rejected as stale, making both
     /// operations idempotent and safe to retry. The transition is staged
-    /// on the account's WAL and the 200 waits for the commit — the broker
+    /// on the journal and the 200 waits for the commit — the broker
     /// stops retrying a fence once acknowledged, so the ack must mean
     /// the fence survives a restart.
     fn repl_set_epoch(&self, body: &Value, fenced: bool) -> Response {
@@ -584,9 +515,7 @@ impl Inner {
         let Some(epoch) = body.get("epoch").and_then(Value::as_u64) else {
             return bad_request("missing 'epoch'");
         };
-        if !self.ensure_contributor_account(contributor) {
-            return Response::error(Status::InternalError, "failed to open replica account");
-        }
+        self.ensure_contributor_account(contributor);
         let id = ContributorId::new(contributor);
         let outcome = self.state.with_contributor_mut(&id, |account| {
             let current = account.store.assignment_epoch();
@@ -677,7 +606,7 @@ impl Inner {
             }
         };
         // Stage-then-wait: the account write lock covers only the
-        // in-memory mutation and WAL *staging*; the fsync wait happens
+        // in-memory mutation and journal *staging*; the fsync wait happens
         // after the lock is released, so concurrent uploads (to this or
         // other accounts) group-commit instead of serializing on disk
         // latency (DESIGN.md §8).
@@ -1047,14 +976,6 @@ impl Inner {
         ))
     }
 
-    fn handle_health(&self) -> Response {
-        Response::json(&json!({
-            "ok": true,
-            "server": (self.config.name.clone()),
-            "contributors": (self.state.contributor_count()),
-        }))
-    }
-
     /// The newest rule epoch across hosted contributors — the epoch the
     /// broker's mirror should have caught up to.
     fn latest_rule_epoch(&self) -> u64 {
@@ -1069,19 +990,13 @@ impl Inner {
     /// Liveness plus component health. Always HTTP 200 — liveness probes
     /// must keep passing while the process can answer at all — but the
     /// body's `status` drops to `degraded` when a component is impaired
-    /// (a sticky WAL commit failure, or the audit ledger running on its
-    /// in-memory fallback), which the broker's fleet health plane reads.
+    /// (a sticky journal commit failure, or the audit ledger running on
+    /// its in-memory fallback), which the broker's fleet health plane
+    /// reads.
     fn handle_healthz(&self) -> Response {
-        let wal_errors = self.state.wal_sticky_errors();
-        let wal_status = match wal_errors.first() {
+        let wal_status = match self.journal.as_ref().and_then(|j| j.sticky_error()) {
             None => "ok".to_string(),
-            Some((contributor, err)) => {
-                format!(
-                    "error ({} accounts): {}: {err}",
-                    wal_errors.len(),
-                    contributor
-                )
-            }
+            Some(err) => format!("error: {err}"),
         };
         let ledger_status = if self.ledger_fallback {
             "fallback_memory"
@@ -1094,6 +1009,8 @@ impl Inner {
             "version": (env!("CARGO_PKG_VERSION")),
             "uptime_secs": (self.started.elapsed().as_secs()),
             "rule_sync_epoch": (self.latest_rule_epoch()),
+            "server": (self.config.name.clone()),
+            "contributors": (self.state.contributor_count()),
             "components": {
                 "wal": (wal_status),
                 "audit_ledger": (ledger_status),
@@ -1248,9 +1165,29 @@ impl DataStoreService {
     /// Builds a service. Returns the service plus the **admin key** (a
     /// `Role::Server` credential the operator uses to create accounts
     /// and that the broker uses for escrowed consumer registration).
+    ///
+    /// # Panics
+    ///
+    /// With `data_dir` set, panics when the store-wide journal will not
+    /// open (corrupt checkpoint, unwritable or non-directory path). The
+    /// panic message is the `journal_open_failed` JSON event line.
     pub fn new(config: DataStoreConfig) -> (DataStoreService, ApiKey) {
-        let state = DataStoreState::with_mode(config.lock_mode);
-        // The audit ledger is durable alongside the WALs when a data
+        let state = DataStoreState::new();
+        // One shared journal for every hosted account. An open failure
+        // (corrupt checkpoint, unwritable directory) refuses to start:
+        // serving on anything else would quietly change the durability
+        // model the operator chose.
+        let journal =
+            config.data_dir.as_ref().map(|dir| {
+                match sensorsafe_store::StoreJournal::open(dir, config.journal) {
+                    Ok(journal) => Arc::new(journal),
+                    Err(e) => panic!(
+                        "{{\"event\":\"journal_open_failed\",\"server\":\"{}\",\"error\":\"{e}\"}}",
+                        config.name
+                    ),
+                }
+            });
+        // The audit ledger is durable alongside the journal when a data
         // directory is configured. A ledger that fails verification is
         // never silently adopted: the file is left untouched for offline
         // forensics (docs/OPERATIONS.md) and decisions go to a fresh
@@ -1269,30 +1206,6 @@ impl DataStoreService {
                     Arc::new(MemoryLedger::new())
                 }
             },
-        };
-        // Storage engine v2: one shared journal for every hosted
-        // account. An open failure (corrupt checkpoint, unwritable
-        // directory) degrades to per-account WALs — the server still
-        // starts and /healthz exposes the per-store engine state — but
-        // is loudly logged because the operator chose the journal.
-        let journal = match (&config.data_dir, config.engine) {
-            (Some(dir), StorageEngine::Journal) => {
-                let journal_config = sensorsafe_store::JournalConfig {
-                    commit: config.wal,
-                    ..config.journal
-                };
-                match sensorsafe_store::StoreJournal::open(dir, journal_config) {
-                    Ok(journal) => Some(Arc::new(journal)),
-                    Err(e) => {
-                        eprintln!(
-                            "{{\"event\":\"journal_open_failed\",\"server\":\"{}\",\"error\":\"{e}\",\"fallback\":\"per_account_wal\"}}",
-                            config.name
-                        );
-                        None
-                    }
-                }
-            }
-            _ => None,
         };
         let traces = TraceRecorder::new(256);
         traces.set_slow_threshold(sensorsafe_obsv::trace::slow_threshold_from_env(
@@ -1368,10 +1281,6 @@ impl DataStoreService {
             }));
         }
         let mut router = Router::new();
-        {
-            let inner = inner.clone();
-            router.get("/health", move |_, _| inner.handle_health());
-        }
         {
             let inner = inner.clone();
             router.get("/healthz", move |_, _| inner.handle_healthz());
@@ -1537,7 +1446,7 @@ impl DataStoreService {
     }
 
     /// A snapshot of the shared journal's segment/checkpoint bookkeeping,
-    /// or `None` when this store runs in-memory or on per-account WALs.
+    /// or `None` when this store runs in memory.
     /// Operators get the same numbers as metrics; benches and tests use
     /// this to assert rotation and GC actually happened.
     pub fn journal_stats(&self) -> Option<sensorsafe_store::JournalStats> {
@@ -1729,11 +1638,19 @@ mod tests {
     }
 
     #[test]
-    fn health_endpoint() {
+    fn healthz_endpoint() {
         let (svc, _) = service();
-        let resp = svc.handle(&Request::get("/health"));
+        let resp = svc.handle(&Request::get("/healthz"));
         assert_eq!(resp.status, Status::Ok);
-        assert_eq!(resp.json_body().unwrap()["contributors"].as_i64(), Some(0));
+        let body = resp.json_body().unwrap();
+        assert_eq!(body["status"].as_str(), Some("ok"));
+        assert_eq!(body["contributors"].as_i64(), Some(0));
+        assert_eq!(body["components"]["wal"].as_str(), Some("ok"));
+        // One liveness route: the legacy path is gone.
+        assert_eq!(
+            svc.handle(&Request::get("/health")).status,
+            Status::NotFound
+        );
     }
 
     #[test]
@@ -1981,14 +1898,14 @@ mod tests {
     #[test]
     fn traces_endpoint_serves_request_spans() {
         let (svc, _) = service();
-        svc.handle(&Request::get("/health"));
+        svc.handle(&Request::get("/healthz"));
         let resp = svc.handle(&Request::get("/traces"));
         assert_eq!(resp.status, Status::Ok);
         let body = resp.json_body().unwrap();
         let traces = body["traces"].as_array().unwrap();
         assert!(traces
             .iter()
-            .any(|t| t["name"].as_str() == Some("GET /health")));
+            .any(|t| t["name"].as_str() == Some("GET /healthz")));
     }
 
     #[test]
@@ -2049,7 +1966,7 @@ mod durability_tests {
             uploaded = 32 * 64;
         }
         // "Restart": a fresh service over the same data directory.
-        // Re-registration replays the WAL into the new account.
+        // Re-registration replays the journal into the new account.
         let (svc, admin) = DataStoreService::new(config);
         let resp = svc.handle(&Request::post_json(
             "/api/register",
@@ -2061,7 +1978,59 @@ mod durability_tests {
             .state()
             .with_contributor(&id, |a| a.store.stats())
             .unwrap();
-        assert_eq!(stats.samples, uploaded, "WAL replay recovered the data");
+        assert_eq!(stats.samples, uploaded, "journal replay recovered the data");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "journal_open_failed")]
+    fn refuses_to_start_on_a_journal_that_will_not_open() {
+        // A regular file where the data directory should be: the journal
+        // cannot open, and the store must not start on anything else.
+        let path = std::env::temp_dir().join(format!("sensorsafe-notadir-{}", std::process::id()));
+        std::fs::write(&path, b"not a directory").unwrap();
+        let _ = DataStoreService::new(DataStoreConfig {
+            data_dir: Some(path),
+            ..DataStoreConfig::default()
+        });
+    }
+
+    #[test]
+    fn journal_commit_window_governs_upload_acks() {
+        // `journal.commit` is the one group-commit setting: a lone upload
+        // waits out the whole gathering window before its fsync.
+        let dir = std::env::temp_dir().join(format!("sensorsafe-window-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let window = std::time::Duration::from_millis(300);
+        let (svc, admin) = DataStoreService::new(DataStoreConfig {
+            data_dir: Some(dir.clone()),
+            journal: sensorsafe_store::JournalConfig {
+                commit: sensorsafe_store::GroupCommitConfig {
+                    max_delay: window,
+                    ..Default::default()
+                },
+                ..Default::default()
+            },
+            ..DataStoreConfig::default()
+        });
+        let key = register_alice(&svc, &admin);
+        let segment =
+            sensorsafe_sim::Scenario::alice_day(sensorsafe_types::Timestamp::from_millis(0), 6, 1)
+                .render()
+                .chest_segments[0]
+                .to_json();
+        let started = std::time::Instant::now();
+        let resp = svc.handle(&Request::post_json(
+            "/api/upload",
+            &json!({"key": key, "segments": [segment]}),
+        ));
+        let acked_after = started.elapsed();
+        assert_eq!(resp.status, Status::Ok, "{:?}", resp.json_body());
+        assert!(
+            acked_after >= window,
+            "ack after {acked_after:?}, inside the {window:?} commit window"
+        );
+        drop(svc);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -9,8 +9,10 @@
 //!   (`Content-Length` framing; GET/POST/PUT/DELETE; keep-alive).
 //! * [`Router`] — path-pattern routing (`/api/data/:user`) dispatching to
 //!   handler closures; implements [`Service`].
-//! * [`Server`] — a blocking TCP acceptor with a crossbeam-channel thread
-//!   pool and clean shutdown.
+//! * [`Server`] — the HTTP server: epoll event loops with
+//!   `SO_REUSEPORT` sharded accept, an incremental request [`codec`], a
+//!   bounded handler pool, idle reaping, 503 overload shedding and clean
+//!   shutdown (see [`evented`]).
 //! * [`HttpClient`] — a blocking client for consumer apps, contributor
 //!   phones, and server-to-server calls (rule sync, key escrow).
 //! * [`promtext`] — a tolerant Prometheus text-format parser, the inverse
@@ -36,17 +38,15 @@ pub mod http;
 pub mod poll;
 pub mod promtext;
 mod router;
-mod server;
 pub mod traces;
 mod transport;
 
 pub use debug::{profile_response, spans_response, spans_table_html};
-pub use evented::{EventedConfig, EventedServer};
+pub use evented::{EventedConfig, Server};
 pub use failover::{AddrResolver, FailoverTransport, TransportMaker};
 pub use http::{Method, Request, Response, Status, TRACE_HEADER};
 pub use promtext::{ParsedScrape, TextSample};
 pub use router::{Params, Router};
-pub use server::{Server, ServerMode, ThreadPoolServer};
 pub use traces::traces_response;
 pub use transport::{
     HttpClient, LocalTransport, TcpTransport, Transport, TransportError, DEFAULT_POOL_SIZE,

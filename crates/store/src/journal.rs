@@ -1,17 +1,15 @@
-//! Storage engine v2: the **store-wide journal** — one shared,
-//! segment-rotated, checkpointed log for every contributor account a
-//! data store hosts.
+//! The **store-wide journal** — one shared, segment-rotated,
+//! checkpointed log for every contributor account a data store hosts.
 //!
-//! The per-account [`GroupCommitWal`](crate::GroupCommitWal) pays one
-//! fsync stream per account, which is the wrong shape for SensorSafe's
-//! deployment: fleets of thousands of *low-rate* contributors (§6's
-//! studies stream ~1 Hz vitals). With one log per account there is no
-//! cross-account batching — a thousand 1 Hz contributors cost a
-//! thousand fsyncs per second even though each write is tiny. The
-//! journal inverts that: every account **stages** encoded records into
-//! one shared buffer, and a single commit thread retires the combined
-//! batch with one `write` + `fsync`, so the fsync cost amortizes across
-//! the fleet (target ≪1 fsync per upload at 1000 contributors × 1 Hz).
+//! SensorSafe's deployment shape is fleets of thousands of *low-rate*
+//! contributors (§6's studies stream ~1 Hz vitals). One log per account
+//! would allow no cross-account batching — a thousand 1 Hz contributors
+//! would cost a thousand fsyncs per second even though each write is
+//! tiny (EXPERIMENTS.md C4 measured exactly that). Instead every account
+//! **stages** encoded records into one shared buffer, and a single
+//! commit thread retires the combined batch with one `write` + `fsync`,
+//! so the fsync cost amortizes across the fleet (target ≪1 fsync per
+//! upload at 1000 contributors × 1 Hz).
 //!
 //! # On-disk layout
 //!
@@ -30,8 +28,7 @@
 //! payload:
 //!   u16 account name length, name bytes
 //!   u64 account sequence (1-based, per account, monotonic forever)
-//!   u8  record tag + record payload (same per-record encoding as the
-//!       per-account WAL — see crate::wal)
+//!   u8  record tag + record payload (the record codec in crate::wal)
 //! ```
 //!
 //! # Rotation, checkpoints, and bounded replay
@@ -103,8 +100,8 @@ pub struct JournalConfig {
     pub rotate_bytes: u64,
     /// Seal the active segment once it holds this many records.
     pub rotate_records: u64,
-    /// Group-commit batching for the shared commit thread (same knobs
-    /// as the per-account WAL; the batch now gathers across accounts).
+    /// Group-commit batching for the shared commit thread; one batch
+    /// gathers records across accounts.
     pub commit: GroupCommitConfig,
 }
 
@@ -191,8 +188,8 @@ struct JournalState {
     /// Shutdown: the commit thread drains and exits, the checkpoint
     /// thread exits.
     stop: bool,
-    /// Sticky I/O failure (same contract as the per-account WAL: after
-    /// a failed batch write, nothing acks durably again).
+    /// Sticky I/O failure: after a failed batch write, nothing acks
+    /// durably again (acking after a failed fsync would be a lie).
     error: Option<String>,
     /// Per-account staging sequence high-waters (monotonic forever,
     /// surviving restarts via checkpoint + replay).
@@ -328,9 +325,7 @@ impl ActiveSegment {
         })
     }
 
-    /// One batch write + fsync, sharing the per-account WAL's batch
-    /// metrics so the fsync/upload coalescing ratio stays comparable
-    /// across engines.
+    /// One batch write + fsync, with batch-size and latency metrics.
     fn write_batch(&mut self, batch: &[u8], records: usize) -> Result<(), WalError> {
         let started = Instant::now();
         self.file.write_all(batch)?;
@@ -1332,6 +1327,19 @@ mod tests {
         let bob = journal.take_account("bob").unwrap();
         assert_eq!(bob.records, vec![seg(1000)]);
         assert!(journal.take_account("alice").is_none(), "claimed once");
+    }
+
+    #[test]
+    fn drop_drains_staged_records() {
+        // Clean shutdown: records staged but never flushed still reach
+        // the disk when the last journal handle drops.
+        let dir = tempdir("drop");
+        {
+            let journal = StoreJournal::open(&dir, quick_config()).unwrap();
+            journal.stage("alice", &seg(0)).unwrap();
+        }
+        let journal = StoreJournal::open(&dir, quick_config()).unwrap();
+        assert_eq!(journal.take_account("alice").unwrap().records, vec![seg(0)]);
     }
 
     #[test]

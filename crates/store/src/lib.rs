@@ -8,11 +8,10 @@
 //! * [`codec`] — compact binary encoding of segments and annotations for
 //!   the log (the JSON form of Fig. 5 is the *wire* format; the log uses
 //!   binary framing with CRC32 checksums).
-//! * [`wal`] — an append-only write-ahead log giving durability; a store
-//!   reopened from its log replays to identical state. Concurrent
-//!   writers go through [`GroupCommitWal`], which coalesces appends into
-//!   batched `write`+`fsync` commits (DESIGN.md §8).
-//! * [`journal`] — storage engine v2: the **store-wide journal**
+//! * [`wal`] — the record codec ([`WalRecord`]): every durable change
+//!   to an account is one record, and a store replayed from its records
+//!   reaches identical state.
+//! * [`journal`] — the durability engine: the **store-wide journal**
 //!   ([`StoreJournal`]) shared by every hosted account. One commit
 //!   thread batches staged records from many accounts into a single
 //!   `write`+`fsync`; segments rotate at a size threshold, each
@@ -20,8 +19,8 @@
 //!   the tail segment, and checkpointed segments are garbage-collected
 //!   once replication acks catch up.
 //! * [`ledger`] — the file-backed, hash-chained privacy audit ledger
-//!   ([`FileLedger`]): `obsv::ledger`'s integrity model persisted with the
-//!   WAL's flush + `sync_data` discipline, so enforcement decisions are as
+//!   ([`FileLedger`]): `obsv::ledger`'s integrity model persisted with a
+//!   flush + `sync_data` discipline, so enforcement decisions are as
 //!   durable as the data they were made about.
 //! * [`repl`] — replication shipping: sealed batches cut from the live
 //!   record stream plus the CRC-framed wire codec a primary uses to push
@@ -53,5 +52,5 @@ pub use journal::{
 pub use ledger::{verify_ledger_file, FileLedger};
 pub use query::Query;
 pub use repl::{ReplBuffer, ReplConfig, ReplFrame, SealedBatch};
-pub use store::{MergePolicy, SegmentStore, StoreError, StoreStats, StoreTicket};
-pub use wal::{CommitTicket, GroupCommitConfig, GroupCommitWal, Wal, WalError, WalRecord};
+pub use store::{MergePolicy, SegmentStore, StoreError, StoreStats};
+pub use wal::{GroupCommitConfig, WalError, WalRecord};

@@ -1,9 +1,7 @@
-//! Crash-replay property tests for the store-wide journal (storage
-//! engine v2).
+//! Crash-replay property tests for the store-wide journal.
 //!
-//! The durability contract is the same as the per-account WAL's — once
-//! a flush covering a record returns, that record survives any crash —
-//! but the failure surface is larger: a crash can land across a
+//! The durability contract: once a flush covering a record returns,
+//! that record survives any crash. A crash can land across a
 //! **segment rotation boundary**, before or after a **checkpoint**, and
 //! segment **GC** may already have deleted files the checkpoint covers.
 //! These tests pin that in every such interleaving, replay recovers

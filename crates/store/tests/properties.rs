@@ -1,15 +1,17 @@
 //! Property-based tests for the storage engine: the wave-segment store,
-//! the per-tuple baseline, and the WAL must all agree.
+//! the per-tuple baseline, and journal replay must all agree.
 
 use proptest::prelude::*;
 use sensorsafe_store::{
-    decode_annotation, decode_segment, encode_annotation, encode_segment, MergePolicy, Query,
-    SegmentStore, TupleStore, Wal, WalRecord,
+    decode_annotation, decode_segment, encode_annotation, encode_segment, JournalConfig,
+    MergePolicy, Query, SegmentStore, StoreJournal, TupleStore, WalRecord,
 };
 use sensorsafe_types::{
     ChannelSpec, ContextAnnotation, ContextKind, ContextState, GeoPoint, SegmentMeta, TimeRange,
     Timestamp, Timing, WaveSegment,
 };
+use std::path::Path;
+use std::sync::Arc;
 
 /// A workload: a list of (gap_ms_before, rows) packet descriptors.
 fn arb_workload() -> impl Strategy<Value = Vec<(u16, u8)>> {
@@ -124,7 +126,7 @@ proptest! {
         prop_assert_eq!(back, ann);
     }
 
-    /// A store replayed from its WAL answers every query identically.
+    /// A store replayed from the journal answers every query identically.
     #[test]
     fn wal_replay_equivalence(workload in arb_workload(), range in arb_query_range()) {
         let dir = std::env::temp_dir().join(format!(
@@ -132,27 +134,37 @@ proptest! {
             std::process::id(),
             rand_suffix(&workload),
         ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("wal.log");
-        let _ = std::fs::remove_file(&path);
+        let _ = std::fs::remove_dir_all(&dir);
         let packets = build_packets(&workload);
         let q = Query::all().in_time(range);
         let live_result = {
-            let mut store = SegmentStore::open(&path, MergePolicy::default()).unwrap();
+            let mut store = open_journal_store(&dir);
             for p in &packets {
                 store.insert_segment(p.clone()).unwrap();
             }
             store.sync().unwrap();
             store.query(&q)
         };
-        let reopened = SegmentStore::open(&path, MergePolicy::default()).unwrap();
+        let reopened = open_journal_store(&dir);
         prop_assert_eq!(reopened.query(&q), live_result);
+        drop(reopened);
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
+/// Opens (or reopens) one journal-backed account in `dir`; the store
+/// holds the only journal handle, so dropping it shuts the journal down.
+fn open_journal_store(dir: &Path) -> SegmentStore {
+    let journal = Arc::new(StoreJournal::open(dir, JournalConfig::default()).unwrap());
+    let recovered = journal
+        .take_account("acct")
+        .map(|r| r.records)
+        .unwrap_or_default();
+    SegmentStore::open_journal(journal, "acct", MergePolicy::default(), recovered)
+}
+
 /// Deterministic per-case suffix so parallel proptest cases don't share
-/// WAL files.
+/// journal directories.
 fn rand_suffix(workload: &[(u16, u8)]) -> u64 {
     let mut h = 1469598103934665603u64;
     for (a, b) in workload {
@@ -164,31 +176,44 @@ fn rand_suffix(workload: &[(u16, u8)]) -> u64 {
 
 #[test]
 fn wal_truncation_fuzz() {
-    // Cutting the log at every byte offset must yield a clean prefix
-    // replay, never a panic or misparse.
-    let dir = std::env::temp_dir().join(format!("sensorsafe-trunc-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let path = dir.join("wal.log");
+    // Cutting the journal at every byte offset, with or without garbage
+    // after the cut, must yield a clean prefix replay, never a panic or
+    // misparse.
+    let root = std::env::temp_dir().join(format!("sensorsafe-trunc-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&root);
     let packets = build_packets(&[(0, 16), (5, 16), (100, 16)]);
+    let source = root.join("source");
     {
-        let mut wal = Wal::open(&path).unwrap();
+        let journal = StoreJournal::open(&source, JournalConfig::default()).unwrap();
         for p in &packets {
-            wal.append(&WalRecord::Segment(p.clone())).unwrap();
+            journal
+                .stage("acct", &WalRecord::Segment(p.clone()))
+                .unwrap();
         }
-        wal.sync().unwrap();
+        journal.flush().unwrap();
     }
-    let full = std::fs::read(&path).unwrap();
+    let full = std::fs::read(source.join("journal.seg-1")).unwrap();
     for cut in 0..full.len() {
-        let cut_path = dir.join(format!("cut-{cut}.log"));
-        std::fs::write(&cut_path, &full[..cut]).unwrap();
-        let (records, offset) = Wal::replay(&cut_path).unwrap();
-        assert!(offset as usize <= cut);
-        assert!(records.len() <= packets.len());
-        // Replayed prefix must equal the original records' prefix.
-        for (got, want) in records.iter().zip(&packets) {
-            assert_eq!(got, &WalRecord::Segment(want.clone()));
+        for garbage in [&[][..], &[0xa5; 16][..]] {
+            let dir = root.join(format!("cut-{cut}-{}", garbage.len()));
+            std::fs::create_dir_all(&dir).unwrap();
+            let mut torn = full[..cut].to_vec();
+            torn.extend_from_slice(garbage);
+            std::fs::write(dir.join("journal.seg-1"), &torn).unwrap();
+            let records = StoreJournal::open(&dir, JournalConfig::default())
+                .unwrap()
+                .take_account("acct")
+                .map(|r| r.records)
+                .unwrap_or_default();
+            let kept = std::fs::metadata(dir.join("journal.seg-1")).unwrap().len();
+            assert!(kept as usize <= cut, "torn tail not truncated at cut {cut}");
+            assert!(records.len() <= packets.len());
+            // Replayed prefix must equal the original records' prefix.
+            for (got, want) in records.iter().zip(&packets) {
+                assert_eq!(got, &WalRecord::Segment(want.clone()));
+            }
+            std::fs::remove_dir_all(&dir).unwrap();
         }
-        std::fs::remove_file(&cut_path).unwrap();
     }
-    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&root);
 }

@@ -268,6 +268,8 @@ fn concurrent_consumers_and_uploads() {
         }
     });
     // The store is still healthy afterwards.
-    let resp = store.handle(&Request::get("/health"));
-    assert_eq!(resp.json_body().unwrap()["contributors"].as_i64(), Some(4));
+    let resp = store.handle(&Request::get("/healthz"));
+    let body = resp.json_body().unwrap();
+    assert_eq!(body["status"].as_str(), Some("ok"));
+    assert_eq!(body["contributors"].as_i64(), Some(4));
 }
