@@ -608,87 +608,9 @@ fn c3_evented_core_table() {
     println!("--> 10,240 keep-alive connections on 8 handler threads\n");
 }
 
-fn obsv_overhead_table() {
-    println!("== O1: observability overhead on the query hot path ==");
-    // Each configuration gets its own deployment because the audit
-    // ledger is not behind the metrics kill switch (accountability is
-    // not telemetry): the baseline must avoid it structurally, via an
-    // in-memory store, rather than by flipping the registry off.
-    //
-    // Run-to-run noise on a ~30 ms query is larger than the 5% budget,
-    // so the harness interleaves the configurations over several rounds
-    // and reports each configuration's best round — the estimator least
-    // disturbed by scheduler and allocator interference.
-    let ledger_dir = std::env::temp_dir().join(format!("sensorsafe-o1-{}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&ledger_dir);
-    std::fs::create_dir_all(&ledger_dir).expect("O1 ledger dir");
-
-    let wire = |config: sensorsafe_core::datastore::DataStoreConfig| {
-        let mut deployment = Deployment::in_process();
-        let store = deployment.add_store_with("s1", config);
-        let alice = deployment.register_contributor("s1", "alice").unwrap();
-        alice.upload_scenario(&alice_scenario(3)).unwrap();
-        alice.set_rules(&json!([{"Action": "Allow"}])).unwrap();
-        let bob = deployment.register_consumer("bob").unwrap();
-        bob.add_contributors(&["alice"]).unwrap();
-        (store, bob)
-    };
-    let rigs = [
-        (
-            "kill switch off, in-memory ledger",
-            false,
-            wire(Default::default()),
-        ),
-        (
-            "metrics+tracing, in-memory ledger",
-            true,
-            wire(Default::default()),
-        ),
-        (
-            "metrics+tracing+durable audit ledger",
-            true,
-            wire(sensorsafe_core::datastore::DataStoreConfig {
-                data_dir: Some(ledger_dir.clone()),
-                slow_request_threshold: Some(std::time::Duration::from_millis(250)),
-                ..Default::default()
-            }),
-        ),
-    ];
-
-    const ROUNDS: usize = 5;
-    const ITERATIONS: usize = 30;
-    let mut best = [f64::INFINITY; 3];
-    for round in 0..=ROUNDS {
-        for (i, (_, enabled, (store, bob))) in rigs.iter().enumerate() {
-            sensorsafe_core::obsv::global().set_enabled(*enabled);
-            store.registry().set_enabled(*enabled);
-            let started = std::time::Instant::now();
-            for _ in 0..ITERATIONS {
-                let results = bob.download_all(&Query::all()).unwrap();
-                assert!(results[0].1.raw_samples() > 0);
-            }
-            let mean_ms = started.elapsed().as_secs_f64() * 1e3 / ITERATIONS as f64;
-            // Round 0 is warm-up (caches, lazy series registration).
-            if round > 0 && mean_ms < best[i] {
-                best[i] = mean_ms;
-            }
-        }
-    }
-    sensorsafe_core::obsv::global().set_enabled(true);
-    let _ = std::fs::remove_dir_all(&ledger_dir);
-
-    for (i, (label, _, _)) in rigs.iter().enumerate() {
-        println!("{label:<44} {:>9.3} ms/query (best of {ROUNDS})", best[i]);
-    }
-    let metrics_overhead = (best[1] - best[0]) / best[0] * 100.0;
-    let full_overhead = (best[2] - best[0]) / best[0] * 100.0;
-    println!("--> metrics+tracing overhead:       {metrics_overhead:+.2}% (budget: <5%)");
-    println!("--> full stack incl. audit ledger:  {full_overhead:+.2}% (budget: <5%)\n");
-}
-
 fn fleet_scrape_overhead_table() {
     println!("== O2: fleet scrape overhead on store query latency ==");
-    // Same estimator as O1: the configurations are interleaved over
+    // Interleaved best-of-round estimator: the configurations alternate over
     // several rounds and each reports its best round, because run-to-run
     // noise on a ~30 ms query dwarfs the 5% budget. The scraped rigs run
     // the broker's background scraper at intervals far more aggressive
@@ -784,118 +706,6 @@ fn fleet_scrape_overhead_table() {
     // Scrapers stop (and join) when the deployments drop here.
 }
 
-fn o3_profiler_overhead_table() {
-    println!("== O3: continuous profiler overhead on the mixed workload ==");
-    println!(
-        "environment: {} CPU(s) visible to this process",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-    use sensorsafe_core::obsv::prof;
-    // Same estimator as O1/O2: interleave the configurations over
-    // several rounds and report each configuration's best round, since
-    // scheduler noise on a multi-threaded run dwarfs the 5% budget.
-    // The sampler rate is process-wide state, so each configuration
-    // sets it (and the plane's kill switch) just before its timed run.
-    //
-    // `disabled` is the true baseline: frame enter/exit reduces to one
-    // relaxed load + branch and the sampler parks. `0 Hz` keeps the
-    // span-stats table hot (every frame still timed) without stack
-    // sampling, isolating the bookkeeping cost from the sampling cost.
-    let configs: [(&str, bool, u64); 4] = [
-        ("profiling plane disabled", false, 0),
-        ("frames on, sampler paused (0 Hz)", true, 0),
-        ("frames on, sampler at 99 Hz (default)", true, 99),
-        ("frames on, sampler at 997 Hz", true, 997),
-    ];
-    let threads = 4;
-    let ops = 600;
-    let workload = mixed_workload(8);
-    run_mixed_traffic(&workload, threads, 40); // warm-up, discarded
-
-    const ROUNDS: usize = 8;
-    let mut best = [0.0f64; 4];
-    for round in 0..=ROUNDS {
-        for (i, (_, enabled, hz)) in configs.iter().enumerate() {
-            prof::set_enabled(*enabled);
-            prof::set_sample_rate_hz(*hz);
-            let elapsed = run_mixed_traffic(&workload, threads, ops);
-            let rate = (threads * ops) as f64 / elapsed.as_secs_f64();
-            // Round 0 is warm-up (sampler thread spawn, interning).
-            if round > 0 && rate > best[i] {
-                best[i] = rate;
-            }
-        }
-    }
-    prof::set_enabled(true);
-    prof::set_sample_rate_hz(prof::DEFAULT_SAMPLE_HZ);
-
-    for (i, (label, _, _)) in configs.iter().enumerate() {
-        let overhead = (best[0] - best[i]) / best[0] * 100.0;
-        println!(
-            "{label:<40} {:>10.0} req/s (best of {ROUNDS}, {overhead:+.2}% vs disabled)",
-            best[i]
-        );
-    }
-    let overhead_99 = (best[0] - best[2]) / best[0] * 100.0;
-    println!("--> sampler overhead at 99 Hz: {overhead_99:+.2}% (budget: <5%)");
-    println!(
-        "    {} stack samples taken process-wide so far",
-        prof::total_samples()
-    );
-    println!();
-}
-
-fn o4_awareness_overhead_table() {
-    println!("== O4: awareness-aggregator overhead on the mixed workload ==");
-    println!(
-        "environment: {} CPU(s) visible to this process",
-        std::thread::available_parallelism().map_or(1, |n| n.get())
-    );
-    // Same interleaved best-of-round estimator as O1-O3. The awareness
-    // plane hangs off the store, so the kill switch is flipped on the
-    // workload's own instance between timed runs; every consumer query
-    // in the C1 mix funnels one decision through `record_decision`,
-    // which is exactly the aggregation path being priced.
-    let configs: [(&str, bool); 2] = [
-        ("awareness plane disabled", false),
-        ("awareness plane enabled (default)", true),
-    ];
-    let threads = 4;
-    let ops = 600;
-    let workload = mixed_workload(8);
-    run_mixed_traffic(&workload, threads, 40); // warm-up, discarded
-
-    const ROUNDS: usize = 8;
-    let mut best = [0.0f64; 2];
-    for round in 0..=ROUNDS {
-        for (i, (_, enabled)) in configs.iter().enumerate() {
-            workload.store.awareness().set_enabled(*enabled);
-            let elapsed = run_mixed_traffic(&workload, threads, ops);
-            let rate = (threads * ops) as f64 / elapsed.as_secs_f64();
-            // Round 0 is warm-up (allocator, map growth) and discarded.
-            if round > 0 && rate > best[i] {
-                best[i] = rate;
-            }
-        }
-    }
-    workload.store.awareness().set_enabled(true);
-
-    for (i, (label, _)) in configs.iter().enumerate() {
-        let overhead = (best[0] - best[i]) / best[0] * 100.0;
-        println!(
-            "{label:<40} {:>10.0} req/s (best of {ROUNDS}, {overhead:+.2}% vs disabled)",
-            best[i]
-        );
-    }
-    let overhead = (best[0] - best[1]) / best[0] * 100.0;
-    println!("--> awareness aggregation overhead: {overhead:+.2}% (budget: <5%)");
-    println!(
-        "    {} decisions aggregated on the workload store",
-        workload.store.awareness().aggregates().total().total()
-    );
-    println!();
-}
-
 fn obsv_metrics_snapshot(store: &sensorsafe_core::datastore::DataStoreService) {
     println!("== OBSV: metrics snapshot after the runs above ==");
     // Per-instance (datastore) families first, then the process-wide
@@ -926,18 +736,6 @@ fn main() {
         c4_store_wide_group_commit_table();
         return;
     }
-    // `report o3` runs the profiler overhead sweep alone — the section
-    // EXPERIMENTS.md O3 and the OPERATIONS.md runbook reference.
-    if args.get(1).map(String::as_str) == Some("o3") {
-        o3_profiler_overhead_table();
-        return;
-    }
-    // `report o4` runs the awareness overhead sweep alone — the section
-    // EXPERIMENTS.md O4 and the OPERATIONS.md runbook reference.
-    if args.get(1).map(String::as_str) == Some("o4") {
-        o4_awareness_overhead_table();
-        return;
-    }
 
     f5_storage_table();
     a1_merge_table();
@@ -948,10 +746,7 @@ fn main() {
     c2_durable_upload_table();
     c3_evented_core_table();
     c4_store_wide_group_commit_table();
-    obsv_overhead_table();
     fleet_scrape_overhead_table();
-    o3_profiler_overhead_table();
-    o4_awareness_overhead_table();
 
     // Re-run one instrumented flow so the snapshot shows every family.
     let mut deployment = Deployment::in_process();

@@ -359,7 +359,8 @@ mod tests {
         let drives: Vec<sensorsafe_types::TimeRange> = world
             .store
             .state()
-            .with_contributor(&id, |a| {
+            .read_contributor(&id)
+            .map(|a| {
                 a.store
                     .annotations()
                     .iter()

@@ -331,7 +331,8 @@ mod tests {
         let id = sensorsafe_types::ContributorId::new("alice");
         let stats = svc
             .state()
-            .with_contributor(&id, |a| a.store.stats())
+            .read_contributor(&id)
+            .map(|a| a.store.stats())
             .unwrap();
         assert_eq!(stats.samples, metrics.uploaded_samples);
         assert!(stats.annotations > 0);
@@ -367,7 +368,8 @@ mod tests {
         let id = sensorsafe_types::ContributorId::new("alice");
         let stats = svc
             .state()
-            .with_contributor(&id, |a| a.store.stats())
+            .read_contributor(&id)
+            .map(|a| a.store.stats())
             .unwrap();
         assert_eq!(stats.samples, metrics.uploaded_samples);
     }

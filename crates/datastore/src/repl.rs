@@ -135,22 +135,16 @@ impl Inner {
                 }
                 self.repl_synced.lock().insert(id.clone());
             }
-            let Some((batches, epoch)) = self
-                .state
-                .with_contributor_mut(&id, |account| {
-                    if !account.store.repl_enabled() || account.store.fenced() {
-                        return None;
-                    }
-                    account.store.repl_seal();
-                    Some((
-                        account.store.repl_peek(MAX_BATCHES_PER_PASS),
-                        account.store.assignment_epoch(),
-                    ))
-                })
-                .flatten()
-            else {
+            let Some(mut account) = self.state.write_contributor(&id) else {
                 continue;
             };
+            if !account.store.repl_enabled() || account.store.fenced() {
+                continue;
+            }
+            account.store.repl_seal();
+            let batches = account.store.repl_peek(MAX_BATCHES_PER_PASS);
+            let epoch = account.store.assignment_epoch();
+            drop(account);
             for batch in batches {
                 let seq = batch.seq;
                 let frame = repl::encode_batch(id.as_str(), epoch, &batch);
@@ -161,8 +155,9 @@ impl Inner {
                 let outcome = transport.round_trip(&Request::post_json("/repl/segment", &payload));
                 match outcome {
                     Ok(resp) if resp.status.is_success() => {
-                        self.state
-                            .with_contributor_mut(&id, |a| a.store.repl_ack(seq));
+                        if let Some(mut account) = self.state.write_contributor(&id) {
+                            account.store.repl_ack(seq);
+                        }
                         shipped += 1;
                         registry
                             .counter(
@@ -194,7 +189,8 @@ impl Inner {
             }
             let pending = self
                 .state
-                .with_contributor(&id, |a| a.store.repl_pending())
+                .read_contributor(&id)
+                .map(|a| a.store.repl_pending())
                 .unwrap_or(0);
             let label = consumer_label("sensorsafe_datastore_repl_pending_batches", id.as_str());
             registry
@@ -230,7 +226,7 @@ impl Inner {
         transport: &dyn Transport,
         repl_key: &str,
     ) -> bool {
-        let Some((acked, epoch, enabled)) = self.state.with_contributor(id, |account| {
+        let Some((acked, epoch, enabled)) = self.state.read_contributor(id).map(|account| {
             (
                 account.store.repl_acked_seq(),
                 account.store.assignment_epoch(),
@@ -277,7 +273,8 @@ impl Inner {
         }
         let resnapshotted = self
             .state
-            .with_contributor_mut(id, |account| {
+            .write_contributor(id)
+            .map(|mut account| {
                 if account.store.repl_enabled() {
                     account.store.repl_resnapshot();
                 }

@@ -53,10 +53,6 @@ pub struct DataStoreConfig {
     /// long an acked upload can wait and how many uploads share one
     /// fsync. See `docs/OPERATIONS.md` ("Storage engine") for tuning.
     pub journal: sensorsafe_store::JournalConfig,
-    /// Requests slower than this are pinned in the slow-trace ring and
-    /// logged as one structured JSON line (`None` disables capture). See
-    /// docs/OPERATIONS.md for tuning guidance.
-    pub slow_request_threshold: Option<std::time::Duration>,
 }
 
 impl Default for DataStoreConfig {
@@ -66,7 +62,6 @@ impl Default for DataStoreConfig {
             merge: MergePolicy::default(),
             data_dir: None,
             journal: sensorsafe_store::JournalConfig::default(),
-            slow_request_threshold: None,
         }
     }
 }
@@ -101,10 +96,6 @@ pub(crate) struct Inner {
     pub(crate) registry: Registry,
     pub(crate) traces: Arc<TraceRecorder>,
     pub(crate) ledger: Arc<dyn AuditLedger>,
-    /// True when the configured file ledger failed verification and
-    /// decisions are going to an in-memory fallback; `/healthz` reports
-    /// the component as degraded so the condition is visible fleet-wide.
-    pub(crate) ledger_fallback: bool,
     /// The sharing-awareness plane: live privacy-decision analytics fed
     /// from the same `record_decision` stream as the ledger, surfaced via
     /// `/api/privacy/summary` and `/ui/privacy`.
@@ -237,7 +228,7 @@ impl Inner {
     /// has a data directory.
     fn ensure_contributor_account(&self, name: &str) {
         let id = ContributorId::new(name);
-        if self.state.with_contributor(&id, |_| ()).is_some() {
+        if self.state.read_contributor(&id).is_some() {
             return;
         }
         // A concurrent insert losing the race is fine: the account exists.
@@ -368,7 +359,7 @@ impl Inner {
         };
         self.ensure_contributor_account(contributor);
         let id = ContributorId::new(contributor);
-        let outcome = self.state.with_contributor_mut(&id, |account| {
+        let outcome = self.state.write_contributor(&id).map(|mut account| {
             let current = account.store.assignment_epoch();
             if epoch < current {
                 return Err(current);
@@ -479,7 +470,8 @@ impl Inner {
         let id = ContributorId::new(contributor);
         let current = self
             .state
-            .with_contributor_mut(&id, |account| {
+            .write_contributor(&id)
+            .map(|mut account| {
                 if epoch > account.rule_epoch {
                     account.rules = rules.clone();
                     account.rule_epoch = epoch;
@@ -517,7 +509,7 @@ impl Inner {
         };
         self.ensure_contributor_account(contributor);
         let id = ContributorId::new(contributor);
-        let outcome = self.state.with_contributor_mut(&id, |account| {
+        let outcome = self.state.write_contributor(&id).map(|mut account| {
             let current = account.store.assignment_epoch();
             if epoch < current {
                 return Err(current);
@@ -737,7 +729,7 @@ impl Inner {
         // and with the ledger + contributor so every enforcement decision
         // lands in the tamper-evident audit trail.
         let _audit = audit::consumer_scope(principal.name.clone());
-        let _ledger = audit::ledger_scope(self.ledger.clone(), contributor.as_str().to_string());
+        let ledger = audit::ledger_scope(self.ledger.clone(), contributor.as_str().to_string());
         sensorsafe_obsv::global()
             .counter(
                 "sensorsafe_audit_requests_total",
@@ -764,6 +756,15 @@ impl Inner {
         let payload = shared_view_to_json(&view);
         trace::phase("serialize");
         drop(account);
+        // Dropping the ledger scope syncs this request's decisions. Data
+        // leaves only once they are durable: a failed ledger refuses.
+        drop(ledger);
+        if let Some(err) = self.ledger.sticky_error() {
+            return Response::error(
+                Status::ServiceUnavailable,
+                &format!("audit ledger unavailable: {err}"),
+            );
+        }
         Response::json(&payload)
     }
 
@@ -982,7 +983,7 @@ impl Inner {
         self.state
             .contributor_ids()
             .into_iter()
-            .filter_map(|id| self.state.with_contributor(&id, |a| a.rule_epoch))
+            .filter_map(|id| self.state.read_contributor(&id).map(|a| a.rule_epoch))
             .max()
             .unwrap_or(0)
     }
@@ -990,18 +991,16 @@ impl Inner {
     /// Liveness plus component health. Always HTTP 200 — liveness probes
     /// must keep passing while the process can answer at all — but the
     /// body's `status` drops to `degraded` when a component is impaired
-    /// (a sticky journal commit failure, or the audit ledger running on
-    /// its in-memory fallback), which the broker's fleet health plane
-    /// reads.
+    /// (a sticky journal commit failure or a sticky audit-ledger write or
+    /// sync failure), which the broker's fleet health plane reads.
     fn handle_healthz(&self) -> Response {
         let wal_status = match self.journal.as_ref().and_then(|j| j.sticky_error()) {
             None => "ok".to_string(),
             Some(err) => format!("error: {err}"),
         };
-        let ledger_status = if self.ledger_fallback {
-            "fallback_memory"
-        } else {
-            "ok"
+        let ledger_status = match self.ledger.sticky_error() {
+            None => "ok".to_string(),
+            Some(err) => format!("error: {err}"),
         };
         let degraded = wal_status != "ok" || ledger_status != "ok";
         Response::json(&json!({
@@ -1169,8 +1168,11 @@ impl DataStoreService {
     /// # Panics
     ///
     /// With `data_dir` set, panics when the store-wide journal will not
-    /// open (corrupt checkpoint, unwritable or non-directory path). The
-    /// panic message is the `journal_open_failed` JSON event line.
+    /// open (corrupt checkpoint, unwritable or non-directory path), with
+    /// the `journal_open_failed` JSON event line as the message; and when
+    /// `<data_dir>/audit.ledger` fails verification (torn, tampered or
+    /// truncated), with the `audit_ledger_rejected` line. The ledger file
+    /// is left untouched for forensics.
     pub fn new(config: DataStoreConfig) -> (DataStoreService, ApiKey) {
         let state = DataStoreState::new();
         // One shared journal for every hosted account. An open failure
@@ -1189,28 +1191,20 @@ impl DataStoreService {
             });
         // The audit ledger is durable alongside the journal when a data
         // directory is configured. A ledger that fails verification is
-        // never silently adopted: the file is left untouched for offline
-        // forensics (docs/OPERATIONS.md) and decisions go to a fresh
-        // in-memory ledger so enforcement keeps being recorded.
-        let mut ledger_fallback = false;
+        // never silently adopted or replaced: the server refuses to start
+        // and leaves the file for offline forensics (docs/OPERATIONS.md).
         let ledger: Arc<dyn AuditLedger> = match &config.data_dir {
             None => Arc::new(MemoryLedger::new()),
             Some(dir) => match sensorsafe_store::FileLedger::open(dir.join("audit.ledger")) {
                 Ok(ledger) => Arc::new(ledger),
-                Err(e) => {
-                    eprintln!(
-                        "{{\"event\":\"audit_ledger_rejected\",\"server\":\"{}\",\"error\":\"{e}\"}}",
-                        config.name
-                    );
-                    ledger_fallback = true;
-                    Arc::new(MemoryLedger::new())
-                }
+                Err(e) => panic!(
+                    "{{\"event\":\"audit_ledger_rejected\",\"server\":\"{}\",\"error\":\"{e}\"}}",
+                    config.name
+                ),
             },
         };
         let traces = TraceRecorder::new(256);
-        traces.set_slow_threshold(sensorsafe_obsv::trace::slow_threshold_from_env(
-            config.slow_request_threshold,
-        ));
+        traces.set_slow_threshold(sensorsafe_obsv::trace::slow_threshold_from_env());
         let inner = Arc::new(Inner {
             config,
             journal,
@@ -1225,7 +1219,6 @@ impl DataStoreService {
             registry: Registry::new(),
             traces,
             ledger,
-            ledger_fallback,
             awareness: Arc::new(sensorsafe_obsv::AwarenessPlane::new()),
             started: std::time::Instant::now(),
         });
@@ -1250,7 +1243,7 @@ impl DataStoreService {
                 };
                 let mut out = Vec::new();
                 for id in inner.state.contributor_ids() {
-                    let entry = inner.state.with_contributor_mut(&id, |a| {
+                    let entry = inner.state.write_contributor(&id).map(|mut a| {
                         sensorsafe_store::CheckpointAccount {
                             name: id.as_str().to_string(),
                             high_seq: journal.account_seq(id.as_str()),
@@ -1272,12 +1265,11 @@ impl DataStoreService {
             journal.register_gc_gate(Box::new(move |name: &str| {
                 let inner = weak.upgrade()?;
                 let id = ContributorId::new(name);
-                inner
-                    .state
-                    .with_contributor(&id, |a| {
-                        a.store.repl_enabled().then(|| a.store.repl_acked_seq())
-                    })
-                    .flatten()
+                let account = inner.state.read_contributor(&id)?;
+                account
+                    .store
+                    .repl_enabled()
+                    .then(|| account.store.repl_acked_seq())
             }));
         }
         let mut router = Router::new();
@@ -1361,9 +1353,9 @@ impl DataStoreService {
         // shipper must compare high-waters before trusting its acks.
         self.inner.repl_synced.lock().clear();
         for id in self.inner.state.contributor_ids() {
-            self.inner
-                .state
-                .with_contributor_mut(&id, |a| a.store.enable_replication(ReplConfig::default()));
+            if let Some(mut account) = self.inner.state.write_contributor(&id) {
+                account.store.enable_replication(ReplConfig::default());
+            }
         }
     }
 
@@ -1440,7 +1432,7 @@ impl DataStoreService {
 
     /// The sharing-awareness plane: live privacy-decision analytics over
     /// the `record_decision` stream. Tests compare its aggregates against
-    /// a ledger replay; the O4 experiment toggles it via `set_enabled`.
+    /// a ledger replay.
     pub fn awareness(&self) -> Arc<sensorsafe_obsv::AwarenessPlane> {
         self.inner.awareness.clone()
     }
@@ -1918,6 +1910,67 @@ mod tests {
         ));
         assert_eq!(resp.status, Status::NotFound);
     }
+
+    /// A durable store in a fresh directory, with `alice`'s day uploaded
+    /// and `bob` registered as a consumer. Returns the directory, the
+    /// service and bob's key.
+    fn durable_service(tag: &str) -> (std::path::PathBuf, DataStoreService, String) {
+        let dir = std::env::temp_dir().join(format!("sensorsafe-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let (svc, admin) = DataStoreService::new(DataStoreConfig {
+            data_dir: Some(dir.clone()),
+            ..DataStoreConfig::default()
+        });
+        let admin = admin.to_hex();
+        let alice = register(&svc, &admin, "alice", "contributor");
+        let bob = register(&svc, &admin, "bob", "consumer");
+        upload_alice_day(&svc, &alice);
+        (dir, svc, bob)
+    }
+
+    fn query_alice(svc: &DataStoreService, bob: &str) -> Response {
+        svc.handle(&Request::post_json(
+            "/api/query",
+            &json!({"key": bob, "contributor": "alice"}),
+        ))
+    }
+
+    #[test]
+    fn consumer_query_refuses_when_the_ledger_cannot_sync() {
+        let (dir, svc, bob) = durable_service("ledger-sync-fails");
+        // A directory where the head sidecar goes makes the sync fail.
+        let head = dir.join("audit.ledger.head");
+        std::fs::create_dir(&head).unwrap();
+        assert_eq!(query_alice(&svc, &bob).status, Status::ServiceUnavailable);
+        // The failure is sticky: clearing its cause does not reopen the
+        // ledger, and nothing is released until the store restarts.
+        std::fs::remove_dir(&head).unwrap();
+        assert_eq!(query_alice(&svc, &bob).status, Status::ServiceUnavailable);
+        assert!(!head.exists(), "a failed sync is never retried");
+        let health = svc.handle(&Request::get("/healthz")).json_body().unwrap();
+        assert_eq!(health["status"].as_str(), Some("degraded"));
+        let ledger = health["components"]["audit_ledger"].as_str().unwrap();
+        assert!(ledger.starts_with("error: sync failed"), "{ledger}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    #[should_panic(expected = "audit_ledger_rejected")]
+    fn refuses_to_start_on_a_ledger_that_fails_verification() {
+        let (dir, svc, bob) = durable_service("ledger-tampered");
+        assert_eq!(query_alice(&svc, &bob).status, Status::Ok);
+        drop(svc);
+        let path = dir.join("audit.ledger");
+        let mut bytes = std::fs::read(&path).unwrap();
+        let mid = bytes.len() / 2;
+        bytes[mid] ^= 0x01;
+        std::fs::write(&path, &bytes).unwrap();
+        let _ = DataStoreService::new(DataStoreConfig {
+            data_dir: Some(dir),
+            ..DataStoreConfig::default()
+        });
+    }
 }
 
 #[cfg(test)]
@@ -1976,7 +2029,8 @@ mod durability_tests {
         let id = ContributorId::new("alice");
         let stats = svc
             .state()
-            .with_contributor(&id, |a| a.store.stats())
+            .read_contributor(&id)
+            .map(|a| a.store.stats())
             .unwrap();
         assert_eq!(stats.samples, uploaded, "journal replay recovered the data");
         let _ = std::fs::remove_dir_all(&dir);
@@ -2110,11 +2164,13 @@ mod durability_tests {
         let id = ContributorId::new("alice");
         let primary_stats = svc
             .state()
-            .with_contributor(&id, |a| a.store.stats())
+            .read_contributor(&id)
+            .map(|a| a.store.stats())
             .unwrap();
         let replica_stats = replica
             .state()
-            .with_contributor(&id, |a| a.store.stats())
+            .read_contributor(&id)
+            .map(|a| a.store.stats())
             .unwrap();
         assert_eq!(primary_stats.samples, 16 * rendered.chest_segments[0].len());
         assert_eq!(

@@ -403,26 +403,6 @@ impl DataStoreState {
         Some(ContributorWriteGuard { guard })
     }
 
-    /// Runs `f` with shared access to a contributor (convenience wrapper
-    /// over [`DataStoreState::read_contributor`]).
-    pub fn with_contributor<R>(
-        &self,
-        id: &ContributorId,
-        f: impl FnOnce(&ContributorAccount) -> R,
-    ) -> Option<R> {
-        self.read_contributor(id).map(|guard| f(&guard))
-    }
-
-    /// Runs `f` with exclusive access to a contributor (convenience
-    /// wrapper over [`DataStoreState::write_contributor`]).
-    pub fn with_contributor_mut<R>(
-        &self,
-        id: &ContributorId,
-        f: impl FnOnce(&mut ContributorAccount) -> R,
-    ) -> Option<R> {
-        self.write_contributor(id).map(|mut guard| f(&mut guard))
-    }
-
     /// Looks up a consumer account (cheap: shared `Arc`, no deep clone).
     pub fn consumer(&self, id: &ConsumerId) -> Option<Arc<ConsumerAccount>> {
         self.consumers.read().get(id).cloned()
@@ -472,14 +452,19 @@ mod tests {
         ));
         let id = ContributorId::new("alice");
         let e1 = state
-            .with_contributor_mut(&id, |a| a.set_rules(vec![PrivacyRule::allow_all()]))
+            .write_contributor(&id)
+            .map(|mut a| a.set_rules(vec![PrivacyRule::allow_all()]))
             .unwrap();
         let e2 = state
-            .with_contributor_mut(&id, |a| a.set_rules(vec![]))
+            .write_contributor(&id)
+            .map(|mut a| a.set_rules(vec![]))
             .unwrap();
         assert_eq!(e1, 1);
         assert_eq!(e2, 2);
-        assert_eq!(state.with_contributor(&id, |a| a.rules.len()).unwrap(), 0);
+        assert_eq!(
+            state.read_contributor(&id).map(|a| a.rules.len()).unwrap(),
+            0
+        );
     }
 
     #[test]

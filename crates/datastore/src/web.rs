@@ -753,7 +753,8 @@ mod tests {
         let id = ContributorId::new("alice");
         let (epoch, rules) = svc
             .state()
-            .with_contributor(&id, |a| (a.rule_epoch, a.rules.clone()))
+            .read_contributor(&id)
+            .map(|a| (a.rule_epoch, a.rules.clone()))
             .unwrap();
         assert_eq!(epoch, 1);
         assert_eq!(rules.len(), 1);

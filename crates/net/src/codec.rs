@@ -3,12 +3,12 @@
 //! The blocking parser in [`crate::http`] assumes it can sit in a read
 //! until a full message arrives — fine for a thread-per-connection
 //! server, useless for an event loop where a message trickles in across
-//! many readiness events. [`RequestDecoder`] / [`ResponseDecoder`] are
-//! the evented counterparts: bytes are [`fed`](RequestDecoder::feed) in
-//! whatever fragments the socket yields, and a complete message pops out
-//! once its final byte has arrived.
+//! many readiness events. [`RequestDecoder`] is the evented
+//! counterpart: bytes are [`fed`](RequestDecoder::feed) in whatever
+//! fragments the socket yields, and a complete request pops out once its
+//! final byte has arrived.
 //!
-//! Both decoders share the head grammar helpers with the blocking parser
+//! The decoder shares the head grammar helpers with the blocking parser
 //! (`parse_request_line`, `parse_header_line`, ...), so the two can
 //! never drift: `crates/net/tests/codec_incremental.rs` proptests feed
 //! identical wire bytes to both at arbitrary split points and assert
@@ -21,8 +21,8 @@
 //! unbounded memory.
 
 use crate::http::{
-    invalid, parse_content_length, parse_header_line, parse_request_line, parse_status_line,
-    Request, Response, Status, MAX_HEAD_BYTES,
+    invalid, parse_content_length, parse_header_line, parse_request_line, Request, Status,
+    MAX_HEAD_BYTES,
 };
 use std::collections::BTreeMap;
 
@@ -250,68 +250,6 @@ impl RequestDecoder {
     }
 }
 
-/// Incremental response parser (the client-side mirror image, used by
-/// the codec equivalence tests and available to future evented clients).
-pub struct ResponseDecoder {
-    framer: Framer,
-    pending: Option<(Response, usize)>,
-}
-
-impl Default for ResponseDecoder {
-    fn default() -> Self {
-        ResponseDecoder::new()
-    }
-}
-
-impl ResponseDecoder {
-    /// An empty decoder at a message boundary.
-    pub fn new() -> ResponseDecoder {
-        ResponseDecoder {
-            framer: Framer::new(),
-            pending: None,
-        }
-    }
-
-    /// Buffers more bytes from the socket.
-    pub fn feed(&mut self, bytes: &[u8]) {
-        self.framer.feed(bytes);
-    }
-
-    /// True when the stream sits exactly between messages.
-    pub fn at_boundary(&self) -> bool {
-        self.pending.is_none() && self.framer.at_boundary()
-    }
-
-    /// Attempts to decode the next complete response.
-    pub fn poll(&mut self) -> Decoded<Response> {
-        loop {
-            if let Some((_, need)) = &self.pending {
-                self.framer.phase = Phase::Body { need: *need };
-            }
-            match self.framer.poll() {
-                Decoded::NeedMore => return Decoded::NeedMore,
-                Decoded::Failed(err) => return Decoded::Failed(err),
-                Decoded::Item((lines, body)) => {
-                    if let Some((mut response, _)) = self.pending.take() {
-                        response.body = body;
-                        return Decoded::Item(response);
-                    }
-                    match parse_response_head(&lines) {
-                        Ok((response, content_length)) => {
-                            self.pending = Some((response, content_length));
-                        }
-                        Err(e) => {
-                            let err = map_err(e);
-                            self.framer.phase = Phase::Failed(err.clone());
-                            return Decoded::Failed(err);
-                        }
-                    }
-                }
-            }
-        }
-    }
-}
-
 fn parse_headers(lines: &[String]) -> std::io::Result<BTreeMap<String, String>> {
     let mut headers = BTreeMap::new();
     for line in lines {
@@ -339,25 +277,10 @@ fn parse_request_head(lines: &[String]) -> std::io::Result<(Request, usize)> {
     ))
 }
 
-fn parse_response_head(lines: &[String]) -> std::io::Result<(Response, usize)> {
-    let (first, rest) = lines.split_first().ok_or_else(|| invalid("empty head"))?;
-    let status = parse_status_line(first)?;
-    let headers = parse_headers(rest)?;
-    let content_length = parse_content_length(&headers)?;
-    Ok((
-        Response {
-            status,
-            headers,
-            body: Vec::new(),
-        },
-        content_length,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::http::{write_request, write_response, Method};
+    use crate::http::{write_request, Method};
     use sensorsafe_json::json;
 
     #[test]
@@ -448,26 +371,6 @@ mod tests {
         }
         // Terminal: stays failed on subsequent polls.
         assert!(matches!(decoder.poll(), Decoded::Failed(_)));
-    }
-
-    #[test]
-    fn response_roundtrip_split() {
-        let resp = Response::json(&json!({"ok": true, "n": 7}));
-        let mut wire = Vec::new();
-        write_response(&mut wire, &resp).unwrap();
-        for split in 0..wire.len() {
-            let mut decoder = ResponseDecoder::new();
-            decoder.feed(&wire[..split]);
-            let _ = decoder.poll();
-            decoder.feed(&wire[split..]);
-            match decoder.poll() {
-                Decoded::Item(back) => {
-                    assert_eq!(back.status, Status::Ok);
-                    assert_eq!(back.body, resp.body);
-                }
-                other => panic!("split {split}: {other:?}"),
-            }
-        }
     }
 
     #[test]

@@ -63,7 +63,6 @@ pub fn spans_response(_req: &Request) -> Response {
         })
         .collect();
     let mut body = Map::new();
-    body.insert("enabled".into(), Value::from(prof::enabled()));
     body.insert("sample_rate_hz".into(), Value::from(prof::sample_rate_hz()));
     body.insert("total_samples".into(), Value::from(prof::total_samples()));
     body.insert("spans".into(), Value::Array(rows));
@@ -89,12 +88,7 @@ fn escape_html(s: &str) -> String {
 pub fn spans_table_html() -> String {
     let mut html = String::from("<p>Sampler: ");
     html.push_str(&format!(
-        "{} at {} Hz, {} samples total.</p>\n",
-        if prof::enabled() {
-            "enabled"
-        } else {
-            "disabled"
-        },
+        "{} Hz, {} samples total.</p>\n",
         prof::sample_rate_hz(),
         prof::total_samples()
     ));

@@ -414,12 +414,19 @@ pub fn page_records(records: &[DecisionRecord], filter: &AuditFilter) -> AuditPa
 /// `append` assigns the record's `seq` and returns it; callers must not
 /// set `seq` themselves. Durability is backend-defined: `sync` is the
 /// point after which appended records must survive a crash (a no-op for
-/// the in-memory backend).
+/// the in-memory backend). A backend that fails to persist reports it
+/// through `sticky_error` from then on; callers check it after `sync`
+/// and must not release data whose decisions were not made durable.
 pub trait AuditLedger: Send + Sync {
     /// Appends one decision, assigning and returning its chain position.
     fn append(&self, record: DecisionRecord) -> u64;
     /// Makes every appended record durable (file backends fsync here).
     fn sync(&self);
+    /// The first write or sync failure, if any. Sticky: once set, the
+    /// backend never writes or syncs again.
+    fn sticky_error(&self) -> Option<String> {
+        None
+    }
     /// Records appended so far.
     fn len(&self) -> u64;
     /// Whether no record has been appended yet.

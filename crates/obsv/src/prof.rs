@@ -25,23 +25,26 @@
 //!   child frames, accounted on the owning thread with no extra clock
 //!   reads beyond the two every span already pays.
 //!
-//! The tracing layer pushes a frame per request span automatically
+//! The tracing layer opens a frame per request span
 //! ([`crate::trace::TraceRecorder::begin_ctx`]), so route-level frames come
-//! for free; long-lived worker loops (journal commit, epoll, handler pool,
-//! fleet scraper, replication shipper) add explicit frames via
-//! [`enter`] / the `prof_frame!` macro. Threads with no open frame are
-//! sampled as `kind;(idle)`, so blocked worker pools stay visible without
-//! instrumenting every wait site.
+//! for free. That frame *is* the span: it carries the request's trace and
+//! span ids and the phases marked so far, so traces and the profiler share
+//! this one thread-local stack. Long-lived worker loops (journal commit,
+//! epoll, handler pool, fleet scraper, replication shipper) add explicit
+//! frames via [`enter`] / the `prof_frame!` macro. Threads with no open
+//! frame are sampled as `kind;(idle)`, so blocked worker pools stay
+//! visible without instrumenting every wait site.
 //!
-//! The whole plane is gated on one relaxed [`AtomicBool`]
-//! ([`set_enabled`]); when off, [`enter`] reduces to a load and a branch,
-//! which is what the O3 overhead experiment compares against.
+//! The plane is always on. Sampling can be paused (0 Hz via
+//! `SENSORSAFE_PROF_HZ` or [`set_sample_rate_hz`]); frames and span
+//! statistics are kept regardless.
 
 use crate::metrics::{HistogramSnapshot, DEFAULT_LATENCY_BUCKETS};
+use crate::trace::Phase;
 use parking_lot::{Mutex, RwLock};
 use std::cell::RefCell;
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Once, OnceLock, Weak};
 use std::time::{Duration, Instant};
 
@@ -60,20 +63,6 @@ pub const OTHER_FRAME: u32 = 0;
 
 /// Synthetic frame id for a registered thread with no open frame.
 pub const IDLE_FRAME: u32 = 1;
-
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Turns the profiling plane on or off process-wide. Off, frame
-/// enter/exit reduces to one relaxed load and a branch and the sampler
-/// parks itself. On by default.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the profiling plane is currently enabled.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
 
 // ---------------------------------------------------------------------------
 // Frame interning
@@ -177,6 +166,18 @@ struct OpenFrame {
     id: u32,
     started: Instant,
     child_nanos: u64,
+    /// Set when the frame is a request span (see [`enter_span`]).
+    span: Option<SpanFrame>,
+}
+
+/// The trace half of a frame opened by
+/// [`crate::trace::TraceRecorder::begin_ctx`].
+pub(crate) struct SpanFrame {
+    pub(crate) trace_id: u64,
+    pub(crate) span_id: u64,
+    pub(crate) phases: Vec<Phase>,
+    /// End of the previous phase (the frame's start before the first).
+    last_mark: Instant,
 }
 
 struct LocalProf {
@@ -204,26 +205,71 @@ fn new_thread_stack() -> Arc<ThreadStack> {
 
 /// RAII guard for an open profiling frame (see [`enter`]).
 pub struct ProfGuard {
-    active: bool,
+    _private: (),
 }
 
 /// Opens a profiling frame named `name` on the current thread; the frame
 /// closes when the returned guard drops. While open, the sampler sees the
 /// frame in this thread's stack, and on close its duration feeds
-/// [`span_stats`]. A no-op (load + branch) when the plane is disabled.
+/// [`span_stats`].
 pub fn enter(name: &str) -> ProfGuard {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return ProfGuard { active: false };
-    }
     enter_id(intern(name))
 }
 
 /// [`enter`] for a pre-interned frame id — the zero-lookup hot path used
 /// by the `prof_frame!` macro.
 pub fn enter_id(id: u32) -> ProfGuard {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return ProfGuard { active: false };
+    push_frame(id, None);
+    ProfGuard { _private: () }
+}
+
+/// Opens the frame for a request span: a profiling frame named `name`
+/// that also carries the span's ids and collects its phases. Closed by
+/// [`exit_span`].
+pub(crate) fn enter_span(name: &str, trace_id: u64, span_id: u64) {
+    push_frame(intern(name), Some((trace_id, span_id)));
+}
+
+/// Closes the innermost frame, which must be the one [`enter_span`]
+/// opened, and returns its span half with the frame's total duration.
+/// `None` if the frame carries no span or the thread-local stack is
+/// already torn down.
+pub(crate) fn exit_span() -> Option<(SpanFrame, Duration)> {
+    let (frame, total) = pop_frame()?;
+    Some((frame.span?, Duration::from_nanos(total)))
+}
+
+/// Ends the current phase of the innermost open span (see
+/// [`crate::trace::phase`]) and feeds it to the span statistics as a leaf.
+/// A no-op when no span is open on this thread.
+pub(crate) fn mark_phase(name: &'static str) {
+    let elapsed = LOCAL.with(|cell| {
+        let mut local = cell.borrow_mut();
+        let span = local.open.iter_mut().rev().find_map(|f| f.span.as_mut())?;
+        let now = Instant::now();
+        let elapsed = now - span.last_mark;
+        span.phases.push(Phase { name, elapsed });
+        span.last_mark = now;
+        Some(elapsed)
+    });
+    if let Some(elapsed) = elapsed {
+        let nanos = elapsed.as_nanos() as u64;
+        record_span(intern(name), nanos, nanos);
     }
+}
+
+/// `(trace_id, span_id)` of the innermost open span on this thread.
+pub(crate) fn current_span() -> Option<(u64, u64)> {
+    LOCAL.with(|cell| {
+        cell.borrow()
+            .open
+            .iter()
+            .rev()
+            .find_map(|f| f.span.as_ref().map(|s| (s.trace_id, s.span_id)))
+    })
+}
+
+fn push_frame(id: u32, span: Option<(u64, u64)>) {
     LOCAL.with(|cell| {
         let mut local = cell.borrow_mut();
         if local.stack.is_none() {
@@ -238,26 +284,30 @@ pub fn enter_id(id: u32) -> ProfGuard {
         // Release pairs with the sampler's Acquire: a sampler that observes
         // the new depth also observes the frame id stored above.
         stack.depth.store(depth + 1, Ordering::Release);
+        let started = Instant::now();
         open.push(OpenFrame {
             id,
-            started: Instant::now(),
+            started,
             child_nanos: 0,
+            span: span.map(|(trace_id, span_id)| SpanFrame {
+                trace_id,
+                span_id,
+                phases: Vec::with_capacity(4),
+                last_mark: started,
+            }),
         });
     });
-    ProfGuard { active: true }
 }
 
-impl Drop for ProfGuard {
-    fn drop(&mut self) {
-        if !self.active {
-            return;
-        }
-        // try_with: a guard dropped during thread-local teardown must not
-        // panic; losing that one frame's statistics is fine.
-        let _ = LOCAL.try_with(|cell| {
+/// Pops the innermost frame, feeds its statistics, and returns it with its
+/// total nanoseconds. `try_with`: a frame closed during thread-local
+/// teardown must not panic; losing that one frame's statistics is fine.
+fn pop_frame() -> Option<(OpenFrame, u64)> {
+    let (frame, total) = LOCAL
+        .try_with(|cell| {
             let mut local = cell.borrow_mut();
             let LocalProf { stack, open } = &mut *local;
-            let Some(frame) = open.pop() else { return };
+            let frame = open.pop()?;
             if let Some(stack) = stack {
                 stack.depth.store(open.len(), Ordering::Release);
             }
@@ -265,8 +315,16 @@ impl Drop for ProfGuard {
             if let Some(parent) = open.last_mut() {
                 parent.child_nanos = parent.child_nanos.saturating_add(total);
             }
-            record_span(frame.id, total, total.saturating_sub(frame.child_nanos));
-        });
+            Some((frame, total))
+        })
+        .ok()??;
+    record_span(frame.id, total, total.saturating_sub(frame.child_nanos));
+    Some((frame, total))
+}
+
+impl Drop for ProfGuard {
+    fn drop(&mut self) {
+        pop_frame();
     }
 }
 
@@ -315,16 +373,6 @@ fn record_span(id: u32, total_nanos: u64, self_nanos: u64) {
     let secs = total_nanos as f64 * 1e-9;
     let bucket = DEFAULT_LATENCY_BUCKETS.partition_point(|&b| b < secs);
     agg.buckets[bucket].fetch_add(1, Ordering::Relaxed);
-}
-
-/// Records a leaf entry for a timed phase (fed by [`crate::trace::phase`]):
-/// a span whose self time equals its total.
-pub fn record_phase(name: &'static str, elapsed: Duration) {
-    if !ENABLED.load(Ordering::Relaxed) {
-        return;
-    }
-    let nanos = elapsed.as_nanos() as u64;
-    record_span(intern(name), nanos, nanos);
 }
 
 /// One row of the continuous span-stats table.
@@ -461,7 +509,7 @@ fn sampler_loop(sampler: &'static Sampler) {
     let mut next = Instant::now();
     loop {
         let hz = sampler.hz.load(Ordering::Relaxed);
-        if hz == 0 || !ENABLED.load(Ordering::Relaxed) {
+        if hz == 0 {
             std::thread::sleep(Duration::from_millis(50));
             next = Instant::now();
             continue;
@@ -679,18 +727,6 @@ mod tests {
         }
         // Totals only grow.
         assert!(folded_snapshot().len() >= before.len() || before.is_empty());
-    }
-
-    #[test]
-    fn disabled_plane_opens_no_frames() {
-        set_enabled(false);
-        {
-            let _g = enter("prof_test_disabled_frame");
-        }
-        set_enabled(true);
-        assert!(span_stats()
-            .iter()
-            .all(|s| s.name != "prof_test_disabled_frame"));
     }
 
     #[test]

@@ -4,10 +4,12 @@
 //! A server begins a span per request ([`TraceRecorder::begin_ctx`], fed
 //! from the `X-SensorSafe-Trace` header when present); code deeper in the
 //! stack marks phase boundaries with the free function [`phase`] without
-//! needing the span threaded through its signature (the active span stack
-//! lives in thread-local storage — correct here because a request is served
-//! start-to-finish on one worker thread). When the guard drops, the finished
-//! trace lands in the recorder's ring buffer, where
+//! needing the span threaded through its signature. An open span is a
+//! frame on the profiler's thread-local stack ([`crate::prof`]) that also
+//! carries the span's ids and phases, so traces and profiles share one
+//! record of the request's nesting — correct here because a request is
+//! served start-to-finish on one worker thread. When the guard drops, the
+//! finished trace lands in the recorder's ring buffer, where
 //! [`TraceRecorder::recent_traces`] reads it back, newest last.
 //!
 //! Propagation: every span carries a `trace_id` (constant across the whole
@@ -18,19 +20,20 @@
 //! originate a request tree open an ambient [`context_scope`] instead of a
 //! span.
 //!
-//! Slow-request capture: traces whose total exceeds a configurable
-//! threshold ([`TraceRecorder::set_slow_threshold`]) are additionally
-//! pinned in a separate, smaller ring (so a flood of fast requests cannot
-//! evict the interesting ones), counted in
+//! Slow-request capture: traces whose total exceeds a threshold
+//! ([`TraceRecorder::set_slow_threshold`], which servers arm from
+//! `SENSORSAFE_SLOW_REQ_MS` via [`slow_threshold_from_env`]) are
+//! additionally pinned in a separate, smaller ring (so a flood of fast
+//! requests cannot evict the interesting ones), counted in
 //! `sensorsafe_slow_requests_total`, and logged as one JSON line on stderr
 //! with their trace id and phase breakdown.
 
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::{Duration, Instant, SystemTime, UNIX_EPOCH};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 /// How many slow traces are pinned independently of the main ring.
 const SLOW_RING_CAPACITY: usize = 64;
@@ -100,15 +103,7 @@ pub struct Trace {
     pub completed_unix_ms: u64,
 }
 
-struct ActiveSpan {
-    trace_id: u64,
-    span_id: u64,
-    phases: Vec<Phase>,
-    last_mark: Instant,
-}
-
 thread_local! {
-    static SPAN_STACK: RefCell<Vec<ActiveSpan>> = const { RefCell::new(Vec::new()) };
     static CONTEXT_STACK: RefCell<Vec<TraceContext>> = const { RefCell::new(Vec::new()) };
 }
 
@@ -136,26 +131,16 @@ fn next_id() -> u64 {
 /// Marks the end of the current phase of the innermost active span. A no-op
 /// when no span is active (e.g. library code running outside a server).
 pub fn phase(name: &'static str) {
-    SPAN_STACK.with(|stack| {
-        if let Some(span) = stack.borrow_mut().last_mut() {
-            let now = Instant::now();
-            let elapsed = now - span.last_mark;
-            span.phases.push(Phase { name, elapsed });
-            span.last_mark = now;
-            crate::prof::record_phase(name, elapsed);
-        }
-    });
+    crate::prof::mark_phase(name);
 }
 
 /// The context an outbound call made *right now* should carry: the
 /// innermost active span if any (the callee becomes its child), else the
 /// innermost ambient [`context_scope`], else `None`.
 pub fn current_context() -> Option<TraceContext> {
-    let from_span = SPAN_STACK.with(|stack| {
-        stack.borrow().last().map(|span| TraceContext {
-            trace_id: span.trace_id,
-            parent_span_id: span.span_id,
-        })
+    let from_span = crate::prof::current_span().map(|(trace_id, span_id)| TraceContext {
+        trace_id,
+        parent_span_id: span_id,
     });
     from_span.or_else(|| CONTEXT_STACK.with(|stack| stack.borrow().last().copied()))
 }
@@ -187,7 +172,6 @@ pub struct TraceRecorder {
     ring: Mutex<VecDeque<Trace>>,
     slow_ring: Mutex<VecDeque<Trace>>,
     capacity: usize,
-    enabled: AtomicBool,
     slow_threshold_nanos: AtomicU64,
 }
 
@@ -197,13 +181,8 @@ impl TraceRecorder {
             ring: Mutex::new(VecDeque::with_capacity(capacity.min(1024))),
             slow_ring: Mutex::new(VecDeque::new()),
             capacity: capacity.max(1),
-            enabled: AtomicBool::new(true),
             slow_threshold_nanos: AtomicU64::new(0),
         })
-    }
-
-    pub fn set_enabled(&self, enabled: bool) {
-        self.enabled.store(enabled, Ordering::Relaxed);
     }
 
     /// Requests slower than `threshold` are pinned in the slow ring,
@@ -231,37 +210,19 @@ impl TraceRecorder {
         name: impl Into<String>,
         ctx: Option<TraceContext>,
     ) -> SpanGuard {
-        if !self.enabled.load(Ordering::Relaxed) {
-            return SpanGuard { state: None };
-        }
         let (trace_id, parent_span_id) = match ctx.or_else(current_context) {
             Some(ctx) => (ctx.trace_id, ctx.parent_span_id),
             None => (next_id(), 0),
         };
         let span_id = next_id();
         let name = name.into();
-        // Mirror the span as a profiling frame so the wall-clock sampler
-        // attributes this thread's time to the request while it is active.
-        let prof = crate::prof::enter(&name);
-        let started = Instant::now();
-        SPAN_STACK.with(|stack| {
-            stack.borrow_mut().push(ActiveSpan {
-                trace_id,
-                span_id,
-                phases: Vec::with_capacity(4),
-                last_mark: started,
-            })
-        });
+        // The span is a profiling frame, so the wall-clock sampler
+        // attributes this thread's time to the request while it is open.
+        crate::prof::enter_span(&name, trace_id, span_id);
         SpanGuard {
-            state: Some(SpanState {
-                recorder: self.clone(),
-                name,
-                trace_id,
-                span_id,
-                parent_span_id,
-                started,
-                _prof: prof,
-            }),
+            recorder: self.clone(),
+            name,
+            parent_span_id,
         }
     }
 
@@ -301,19 +262,14 @@ impl TraceRecorder {
     }
 }
 
-/// Resolves the effective slow-request threshold: the
-/// `SENSORSAFE_SLOW_REQ_MS` environment variable overrides the configured
-/// value at startup (a parseable millisecond count; `0` disables capture),
-/// anything unset or malformed falls back to `configured`. Lets operators
-/// retune capture on a deployed binary without a config change.
-pub fn slow_threshold_from_env(configured: Option<Duration>) -> Option<Duration> {
-    match std::env::var("SENSORSAFE_SLOW_REQ_MS") {
-        Ok(raw) => match raw.trim().parse::<u64>() {
-            Ok(0) => None,
-            Ok(ms) => Some(Duration::from_millis(ms)),
-            Err(_) => configured,
-        },
-        Err(_) => configured,
+/// The slow-request threshold servers arm at startup: the
+/// `SENSORSAFE_SLOW_REQ_MS` environment variable as a millisecond count.
+/// Unset, malformed or `0` leaves capture off.
+pub fn slow_threshold_from_env() -> Option<Duration> {
+    let raw = std::env::var("SENSORSAFE_SLOW_REQ_MS").ok()?;
+    match raw.trim().parse::<u64>() {
+        Ok(ms) if ms > 0 => Some(Duration::from_millis(ms)),
+        _ => None,
     }
 }
 
@@ -370,40 +326,30 @@ fn escape_json(s: &str) -> String {
     out
 }
 
-struct SpanState {
+/// RAII guard for an open span; dropping it closes the span's frame and
+/// records the trace.
+pub struct SpanGuard {
     recorder: Arc<TraceRecorder>,
     name: String,
-    trace_id: u64,
-    span_id: u64,
     parent_span_id: u64,
-    started: Instant,
-    /// Closes the mirrored profiling frame when the span ends.
-    _prof: crate::prof::ProfGuard,
-}
-
-/// RAII guard for an active span.
-pub struct SpanGuard {
-    state: Option<SpanState>,
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        let Some(state) = self.state.take() else {
+        let Some((span, total)) = crate::prof::exit_span() else {
             return;
         };
-        let active = SPAN_STACK.with(|stack| stack.borrow_mut().pop());
-        let Some(active) = active else { return };
         let completed_unix_ms = SystemTime::now()
             .duration_since(UNIX_EPOCH)
             .map(|d| d.as_millis() as u64)
             .unwrap_or(0);
-        state.recorder.record(Trace {
-            trace_id: state.trace_id,
-            span_id: state.span_id,
-            parent_span_id: state.parent_span_id,
-            name: state.name,
-            phases: active.phases,
-            total: state.started.elapsed(),
+        self.recorder.record(Trace {
+            trace_id: span.trace_id,
+            span_id: span.span_id,
+            parent_span_id: self.parent_span_id,
+            name: std::mem::take(&mut self.name),
+            phases: span.phases,
+            total,
             completed_unix_ms,
         });
     }
@@ -536,14 +482,33 @@ mod tests {
     }
 
     #[test]
-    fn disabled_recorder_records_nothing() {
+    fn span_is_the_profiling_frame_and_sees_through_plain_frames() {
         let recorder = TraceRecorder::new(8);
-        recorder.set_enabled(false);
+        let outbound;
         {
-            let _span = recorder.begin("dropped");
-            phase("ignored");
+            let _span = recorder.begin("trace_test_span_frame");
+            outbound = current_context().unwrap();
+            {
+                // A plain profiling frame opened inside the span neither
+                // hides the span from phase marks nor from propagation.
+                let _frame = crate::prof::enter("trace_test_plain_frame");
+                phase("inside_plain_frame");
+                assert_eq!(current_context(), Some(outbound));
+            }
         }
-        assert!(recorder.recent_traces().is_empty());
+        assert_eq!(current_context(), None);
+        let trace = &recorder.recent_traces()[0];
+        assert_eq!(trace.span_id, outbound.parent_span_id);
+        assert_eq!(trace.phases.len(), 1);
+        assert_eq!(trace.phases[0].name, "inside_plain_frame");
+        // The same frame fed the profiler's span statistics.
+        let stats = crate::prof::span_stats();
+        let span = stats
+            .iter()
+            .find(|s| s.name == "trace_test_span_frame")
+            .unwrap();
+        assert!(span.count >= 1);
+        assert!(span.total >= trace.total);
     }
 
     #[test]
@@ -669,27 +634,17 @@ mod tests {
 
     #[test]
     fn slow_threshold_env_override() {
-        let configured = Some(Duration::from_millis(250));
-        // Unset: configured value passes through.
+        // Unset: capture stays off.
         std::env::remove_var("SENSORSAFE_SLOW_REQ_MS");
-        assert_eq!(slow_threshold_from_env(configured), configured);
-        assert_eq!(slow_threshold_from_env(None), None);
-        // Set: env wins over config.
-        std::env::set_var("SENSORSAFE_SLOW_REQ_MS", "40");
-        assert_eq!(
-            slow_threshold_from_env(configured),
-            Some(Duration::from_millis(40))
-        );
-        assert_eq!(
-            slow_threshold_from_env(None),
-            Some(Duration::from_millis(40))
-        );
-        // Zero disables capture outright.
+        assert_eq!(slow_threshold_from_env(), None);
+        // A millisecond count arms it.
+        std::env::set_var("SENSORSAFE_SLOW_REQ_MS", " 40 ");
+        assert_eq!(slow_threshold_from_env(), Some(Duration::from_millis(40)));
+        // Zero and garbage leave it off.
         std::env::set_var("SENSORSAFE_SLOW_REQ_MS", "0");
-        assert_eq!(slow_threshold_from_env(configured), None);
-        // Garbage falls back to the configured value.
+        assert_eq!(slow_threshold_from_env(), None);
         std::env::set_var("SENSORSAFE_SLOW_REQ_MS", "soon");
-        assert_eq!(slow_threshold_from_env(configured), configured);
+        assert_eq!(slow_threshold_from_env(), None);
         std::env::remove_var("SENSORSAFE_SLOW_REQ_MS");
     }
 }

@@ -7,7 +7,10 @@
 //! chain hash). Appends are buffered; [`FileLedger::sync`] follows the WAL
 //! pattern — flush, `sync_data` the ledger file, and only *then* rewrite
 //! and `sync_data` the head sidecar, so the head never attests records
-//! that are not yet durable.
+//! that are not yet durable. The first write or sync failure is sticky
+//! ([`AuditLedger::sticky_error`]): the ledger never writes or fsyncs
+//! again, because a retried fsync can report success for pages the kernel
+//! already dropped.
 //!
 //! Tamper and truncation detection: [`FileLedger::open`] replays and
 //! verifies the whole chain against the head (a store refuses to silently
@@ -79,6 +82,8 @@ struct Inner {
     head: ChainHead,
     /// Appends since the last completed sync.
     dirty: bool,
+    /// The first I/O failure; once set, nothing is written or synced.
+    failed: Option<String>,
 }
 
 /// A durable [`AuditLedger`]: appends are hash-chained onto the verified
@@ -119,6 +124,7 @@ impl FileLedger {
                 records,
                 head,
                 dirty: false,
+                failed: None,
             }),
         })
     }
@@ -151,10 +157,13 @@ impl AuditLedger for FileLedger {
         record.seq = inner.head.count;
         let mut frame = Vec::with_capacity(96);
         let hash = encode_frame(&mut frame, &inner.head.hash, &record);
-        // An audit ledger must never drop a decision silently, but the
-        // enforcement path cannot fail the data response over a full disk
-        // either; a write error here surfaces at the next sync/verify.
-        let _ = inner.writer.write_all(&frame);
+        // A failed write is recorded, not retried: the caller's check of
+        // `sticky_error` after `sync` turns it into a refused response.
+        if inner.failed.is_none() {
+            if let Err(e) = inner.writer.write_all(&frame) {
+                inner.failed = Some(format!("append failed: {e}"));
+            }
+        }
         inner.head = ChainHead {
             count: record.seq + 1,
             hash,
@@ -167,24 +176,32 @@ impl AuditLedger for FileLedger {
 
     fn sync(&self) {
         let mut inner = self.inner.lock();
-        if !inner.dirty {
+        if !inner.dirty || inner.failed.is_some() {
             return;
         }
         // WAL discipline: data first, head second, fsync between — the
         // head on disk must never get ahead of durable frames.
-        if inner.writer.flush().is_err() {
-            return;
-        }
-        if inner.writer.get_ref().sync_data().is_err() {
-            return;
-        }
         let head_bytes = inner.head.encode();
-        let ok = File::create(head_path(&self.path))
-            .and_then(|mut f| f.write_all(&head_bytes).and_then(|_| f.sync_data()));
-        if ok.is_ok() {
-            inner.dirty = false;
-            fsyncs_counter().inc();
+        let synced = inner
+            .writer
+            .flush()
+            .and_then(|_| inner.writer.get_ref().sync_data())
+            .and_then(|_| {
+                let mut head = File::create(head_path(&self.path))?;
+                head.write_all(&head_bytes)?;
+                head.sync_data()
+            });
+        match synced {
+            Ok(()) => {
+                inner.dirty = false;
+                fsyncs_counter().inc();
+            }
+            Err(e) => inner.failed = Some(format!("sync failed: {e}")),
         }
+    }
+
+    fn sticky_error(&self) -> Option<String> {
+        self.inner.lock().failed.clone()
     }
 
     fn len(&self) -> u64 {
@@ -266,6 +283,25 @@ mod tests {
         assert_eq!(ledger.verify_chain().unwrap().len(), 1);
         ledger.sync();
         assert_eq!(ledger.verify_chain().unwrap().len(), 1);
+    }
+
+    #[test]
+    fn first_sync_failure_is_sticky() {
+        let path = temp_path("sticky");
+        let ledger = FileLedger::open(&path).unwrap();
+        std::fs::create_dir(head_path(&path)).unwrap();
+        ledger.append(record("bob"));
+        ledger.sync();
+        let err = ledger
+            .sticky_error()
+            .expect("head write fails on a directory");
+        assert!(err.starts_with("sync failed"), "{err}");
+        // Clearing the cause does not clear the failure: nothing is retried.
+        std::fs::remove_dir(head_path(&path)).unwrap();
+        ledger.append(record("carol"));
+        ledger.sync();
+        assert_eq!(ledger.sticky_error(), Some(err));
+        assert!(!head_path(&path).exists());
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //! sequence order, pushes each to the replica as one `POST
 //! /repl/segment` body, and acks the sequence once the replica has made
 //! it durable. Acked batches are dropped; the lowest unacked sequence is
-//! the buffer's **low-water mark**, which gates
-//! [`SegmentStore::compact`](crate::SegmentStore::compact) — compaction
-//! renumbers the shipping stream, so it must not run while the replica
-//! is behind.
+//! the buffer's **low-water mark**, which gates the journal's segment
+//! garbage collection ([`StoreJournal::register_gc_gate`](crate::StoreJournal::register_gc_gate),
+//! see the journal's "Garbage collection and replication" notes): a
+//! checkpointed segment is deleted only once the replica has acked every
+//! batch sealed before that checkpoint, so a crash plus failover cannot
+//! lose records still in flight.
 //!
 //! Wire format of one shipped batch (little-endian, CRC-framed like the
 //! WAL itself):

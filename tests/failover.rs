@@ -164,7 +164,8 @@ fn failover_promotes_replica_without_acked_record_loss() {
         primary.repl_ship_now();
         let pending = primary
             .state()
-            .with_contributor(&id, |a| a.store.repl_pending())
+            .read_contributor(&id)
+            .map(|a| a.store.repl_pending())
             .unwrap();
         if pending == 0 {
             break;
